@@ -22,7 +22,6 @@ from .kernel import (
     generator,
     in_kernel,
     inverse_truncation,
-    not_zero_divisor_check,
 )
 from .series import (
     LaurentSeries,
@@ -65,7 +64,6 @@ __all__ = [
     "min_exponent",
     "next_digit",
     "normalize_budget",
-    "not_zero_divisor_check",
     "restrict",
     "series_of",
     "t_adic_distance",

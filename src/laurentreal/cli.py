@@ -33,15 +33,14 @@ EXIT_PROPERTY_FAILURE = 5
 class Config:
     params: RadiusParams
     base: int
-    max_digits: int
-    cardinality_cap: int
-    seed: int
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> Config:
         r = formats.parse_rational(getattr(args, "r", None) or "1/2")
         r_prime_arg = getattr(args, "r_prime", None)
         base = getattr(args, "base", None)
+        if base is not None and base < 2:
+            raise ValueError(f"--base must be an integer >= 2, got {base}")
         if r_prime_arg is not None:
             r_prime = formats.parse_rational(r_prime_arg)
         elif base is not None:
@@ -56,13 +55,7 @@ class Config:
             base = r_prime.denominator if r_prime.numerator == 1 else 10
         c_arg = getattr(args, "c", None)
         c = formats.parse_rational(c_arg) if c_arg is not None else None
-        return cls(
-            params=RadiusParams(r, r_prime, c),
-            base=base,
-            max_digits=getattr(args, "max_digits", 40),
-            cardinality_cap=getattr(args, "cap", DEFAULT_CAP),
-            seed=getattr(args, "seed", 42),
-        )
+        return cls(params=RadiusParams(r, r_prime, c), base=base)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +130,7 @@ def _load_series(path: str, fmt: str = "text"):
 
 def cmd_expand(args: argparse.Namespace, config: Config) -> int:
     x = formats.parse_rational(args.x)
-    cert = expand(x, config.params, config.max_digits)
+    cert = expand(x, config.params, args.max_digits)
     print(json.dumps(formats.certificate_to_json_dict(cert), sort_keys=True))
     return EXIT_OK
 
@@ -203,9 +196,9 @@ def cmd_divide(args: argparse.Namespace, config: Config) -> int:
 
 def cmd_enumerate(args: argparse.Namespace, config: Config) -> int:
     if args.count_only:
-        print(count_truncations(args.m, config.params, config.cardinality_cap))
+        print(count_truncations(args.m, config.params, args.cap))
         return EXIT_OK
-    truncations = enumerate_truncations(args.m, config.params, config.cardinality_cap)
+    truncations = enumerate_truncations(args.m, config.params, args.cap)
     for tup in truncations:
         print(",".join(str(a) for a in tup))
     return EXIT_OK
@@ -215,12 +208,12 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
     results = run_exactness_suite(
         config.params,
         trials=args.trials,
-        seed=config.seed,
-        max_digits=config.max_digits,
+        seed=args.seed,
+        max_digits=args.max_digits,
     )
     if args.json:
         report = {
-            "seed": config.seed,
+            "seed": args.seed,
             "trials": args.trials,
             "r": formats.format_rational(config.params.r),
             "r_prime": formats.format_rational(config.params.r_prime),

@@ -9,7 +9,7 @@ agree on every exponent up to N evaluate within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction
@@ -38,30 +38,27 @@ def evaluate(f: LaurentSeries, at: RadiusParams | RationalLike) -> Fraction:
 class ContinuityBound:
     """Certified output gap for budgeted series agreeing up to an exponent.
 
-    bound == 2*c*(r_prime/r)**N / (1 - r_prime/r), computed exactly.
+    bound = 2*c*(r_prime/r)**N / (1 - r_prime/r), derived exactly at construction.
     """
 
     agreement_order: int
     budget: Fraction
     params: RadiusParams
-    bound: Fraction
+    bound: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         ratio = self.params.r_prime / self.params.r
-        expected = 2 * self.budget * ratio**self.agreement_order / (1 - ratio)
-        if self.bound != expected:
-            raise ValueError(f"bound {self.bound} does not match formula {expected}")
+        bound = 2 * self.budget * ratio**self.agreement_order / (1 - ratio)
+        object.__setattr__(self, "bound", bound)
 
 
 def continuity_bound(
     N: int, c: RationalLike, params: RadiusParams
 ) -> ContinuityBound:
-    """Exact modulus 2*c*(r_prime/r)**N / (1 - r_prime/r) for agreement order N."""
+    """The exact ContinuityBound for agreement order N and budget c."""
     if not isinstance(N, int) or N < 0:
         raise ValueError(f"agreement order N must be a nonnegative integer, got {N}")
     c = exact_fraction(c, "budget c")
     if c <= 0:
         raise ValueError(f"budget c must be positive, got {c}")
-    ratio = params.r_prime / params.r
-    bound = 2 * c * ratio**N / (1 - ratio)
-    return ContinuityBound(agreement_order=N, budget=c, params=params, bound=bound)
+    return ContinuityBound(agreement_order=N, budget=c, params=params)

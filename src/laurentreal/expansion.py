@@ -17,7 +17,7 @@ expansion is finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction
@@ -84,40 +84,47 @@ def next_digit(
 class ExpansionCertificate:
     """A greedy expansion together with the bounds that make it checkable.
 
+    digit_bound = 1 + 1/r_prime and norm_budget, the exact geometric tail
+    digit_bound * r**exponent_floor / (1 - r) (0 for the empty expansion),
+    are derived at construction, not passed.
+
     Invariants, verified at construction:
       - exponents strictly increase along the digit list
-      - every |a_n| < digit_bound == 1 + 1/r_prime
+      - every |a_n| < digit_bound and every n >= exponent_floor
       - |residual| < r_prime**n_last after the final digit
-      - the digit series has weighted norm at most norm_budget, the exact
-        geometric tail (1 + 1/r_prime) * r**floor / (1 - r) over the
-        uniform exponent floor
+      - the digit series has weighted norm at most norm_budget
     """
 
     target: Fraction
     params: RadiusParams
     digits: tuple[tuple[int, int], ...]
     residual: Fraction
-    digit_bound: Fraction
-    norm_budget: Fraction
     exponent_floor: int | None
+    digit_bound: Fraction = field(init=False)
+    norm_budget: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         r, rp = self.params.r, self.params.r_prime
-        if self.digit_bound != 1 + 1 / rp:
-            raise ValueError("digit_bound must equal 1 + 1/r_prime")
+        digit_bound = 1 + 1 / rp
+        if self.exponent_floor is None:
+            norm_budget = Fraction(0)
+        else:
+            norm_budget = digit_bound * r**self.exponent_floor / (1 - r)
+        object.__setattr__(self, "digit_bound", digit_bound)
+        object.__setattr__(self, "norm_budget", norm_budget)
         previous = None
         norm = Fraction(0)
         for n, a in self.digits:
             if previous is not None and n <= previous:
                 raise ValueError(f"exponents must strictly increase, got {n} after {previous}")
-            if abs(a) >= self.digit_bound:
-                raise ValueError(f"digit {a} at exponent {n} exceeds bound {self.digit_bound}")
+            if abs(a) >= digit_bound:
+                raise ValueError(f"digit {a} at exponent {n} exceeds bound {digit_bound}")
             if self.exponent_floor is None or n < self.exponent_floor:
                 raise ValueError(f"exponent {n} below the uniform floor {self.exponent_floor}")
             previous = n
             norm += abs(a) * r**n
-        if norm > self.norm_budget:
-            raise ValueError(f"digit norm {norm} exceeds budget {self.norm_budget}")
+        if norm > norm_budget:
+            raise ValueError(f"digit norm {norm} exceeds budget {norm_budget}")
         if self.digits and not abs(self.residual) < rp ** self.digits[-1][0]:
             raise ValueError("residual not below r_prime**n_last")
 
@@ -151,18 +158,11 @@ def expand(
             digits.append((n, digit))
             power *= rp
             n += 1
-    digit_bound = 1 + 1 / rp
-    if floor is None:
-        norm_budget = Fraction(0)
-    else:
-        norm_budget = digit_bound * params.r**floor / (1 - params.r)
     return ExpansionCertificate(
         target=x,
         params=params,
         digits=tuple(digits),
         residual=residual,
-        digit_bound=digit_bound,
-        norm_budget=norm_budget,
         exponent_floor=floor,
     )
 

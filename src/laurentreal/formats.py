@@ -60,16 +60,31 @@ def series_to_json_dict(f: LaurentSeries) -> dict:
     return {"terms": [[n, str(a)] for n, a in f.items()]}
 
 
+def _json_int(value) -> int:
+    # floats and bools are refused, as in the core, rather than truncated
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer or a decimal string")
+
+
+def _json_terms(entries) -> list[tuple[int, int]]:
+    """A JSON array of [n, a] pairs as integer pairs (ints or decimal strings)."""
+    if not isinstance(entries, list):
+        raise ValueError(f"expected an array of [n, a] pairs, got {type(entries).__name__}")
+    terms = []
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"malformed term {entry!r}")
+        terms.append((_json_int(entry[0]), _json_int(entry[1])))
+    return terms
+
+
 def series_from_json_dict(data: dict) -> LaurentSeries:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("series JSON must be an object with a 'terms' array")
-    terms = []
-    for entry in data["terms"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"malformed term {entry!r}")
-        n, a = entry
-        terms.append((int(n), int(a)))
-    return LaurentSeries(terms)
+    return LaurentSeries(_json_terms(data["terms"]))
 
 
 def certificate_to_json_dict(cert: ExpansionCertificate) -> dict:
@@ -84,29 +99,27 @@ def certificate_to_json_dict(cert: ExpansionCertificate) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> ExpansionCertificate:
-    """Rebuild a certificate from its wire format, re-deriving the bound fields.
+    """Rebuild a certificate from its wire format; the bound fields are derived.
 
-    Reconstruction re-runs the certificate invariants, so a tampered
-    digit list or residual is rejected.
+    Checked: all five keys are present, the digits are integer pairs, and
+    the ExpansionCertificate invariants hold against the exponent floor of
+    x (ordered exponents, digit, floor and norm bounds, residual bound).
+    Not checked yet: that x equals the digit series' value plus the
+    residual, so digits or a residual altered within those bounds pass.
     """
+    if not isinstance(data, dict):
+        raise ValueError("certificate JSON must be an object")
+    for key in ("x", "r", "r_prime", "digits", "residual"):
+        if key not in data:
+            raise ValueError(f"certificate JSON lacks the {key!r} key")
     params = RadiusParams(parse_rational(data["r"]), parse_rational(data["r_prime"]))
-    digits = tuple((int(n), int(a)) for n, a in data["digits"])
-    rp = params.r_prime
     target = parse_rational(data["x"])
-    floor = min_exponent(target, rp) if target != 0 else None
-    digit_bound = 1 + 1 / rp
-    if floor is None:
-        norm_budget = Fraction(0)
-    else:
-        norm_budget = digit_bound * params.r**floor / (1 - params.r)
     return ExpansionCertificate(
         target=target,
         params=params,
-        digits=digits,
+        digits=tuple(_json_terms(data["digits"])),
         residual=parse_rational(data["residual"]),
-        digit_bound=digit_bound,
-        norm_budget=norm_budget,
-        exponent_floor=floor,
+        exponent_floor=min_exponent(target, params.r_prime) if target != 0 else None,
     )
 
 

@@ -7,15 +7,16 @@ last coordinate maps the level-(m+1) set onto the level-m set.  The
 chain of these restriction maps is the inverse system whose limit is the
 full budgeted space; here it is materialized exactly, at desk scale.
 
-Enumeration works over cleared denominators: with r = p/q and c = u/v the
-budget condition becomes an integer inequality
-sum |a_n| * v * p**n * q**(m-n) <= u * q**m, which keeps the inner loops
-in plain integer arithmetic.
+Enumeration, counting and validation work over cleared denominators:
+with r = p/q and c = u/v the budget condition becomes an integer
+inequality sum |a_n| * v * p**n * q**(m-n) <= u * q**m, which keeps the
+inner loops in plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .series import RadiusParams
 
@@ -52,21 +53,18 @@ class TruncationSet:
 
     def validate(self) -> None:
         """Re-check every stored tuple against the exact norm bound."""
-        r, c = self.params.r, self.params.c
-        assert c is not None
+        weights, budget = _integer_weights(self.m, self.params.r, self.params.c)
         for tup in self.elements:
             if len(tup) != self.m + 1:
                 raise ValueError(f"tuple {tup} has wrong length for degree {self.m}")
-            norm = sum(abs(a) * r**n for n, a in enumerate(tup))
-            if norm > c:
-                raise ValueError(f"tuple {tup} has norm {norm} above budget {c}")
+            if sum(abs(a) * w for a, w in zip(tup, weights)) > budget:
+                raise ValueError(f"tuple {tup} has norm above budget {self.params.c}")
 
 
-def _integer_weights(m: int, params: RadiusParams) -> tuple[list[int], int]:
-    # clears denominators: condition sum |a_n|*w[n] <= budget, all integers
-    p, q = params.r.numerator, params.r.denominator
-    assert params.c is not None
-    u, v = params.c.numerator, params.c.denominator
+def _integer_weights(m: int, r: Fraction, c: Fraction) -> tuple[list[int], int]:
+    """Weights and budget of the integer budget inequality, exponents 0..m."""
+    p, q = r.numerator, r.denominator
+    u, v = c.numerator, c.denominator
     weights = [v * p**n * q ** (m - n) for n in range(m + 1)]
     return weights, u * q**m
 
@@ -81,7 +79,7 @@ def enumerate_truncations(
     once more than cap tuples have been generated.
     """
     _check_enumeration_args(m, params)
-    weights, budget = _integer_weights(m, params)
+    weights, budget = _integer_weights(m, params.r, params.c)
     out: list[tuple[int, ...]] = []
 
     def descend(prefix: tuple[int, ...], level: int, remaining: int) -> None:
@@ -102,7 +100,7 @@ def enumerate_truncations(
 def count_truncations(m: int, params: RadiusParams, cap: int = DEFAULT_CAP) -> int:
     """Cardinality of the degree-m truncation set, without materializing it."""
     _check_enumeration_args(m, params)
-    weights, budget = _integer_weights(m, params)
+    weights, budget = _integer_weights(m, params.r, params.c)
 
     def descend(level: int, remaining: int) -> int:
         bound = remaining // weights[level]

@@ -80,6 +80,16 @@ def test_eval_json_input_format(tmp_path, capsys):
     assert out.strip() == "0/1"
 
 
+def test_eval_json_rejects_non_integer_terms(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    for payload in ('{"terms": 5}', '{"terms": [[1.7, 1e20], [0, true]]}'):
+        path.write_text(payload)
+        code, out, err = run(capsys, "eval", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_eval_malformed_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("0 1.5\n")
@@ -156,6 +166,21 @@ def test_base_r_prime_consistency_enforced(capsys):
     code, _, err = run(capsys, "verify", "--r-prime", "1/10", "--base", "7", "--trials", "1")
     assert code == 2
     assert "inconsistent" in err
+
+
+def test_base_below_two_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--base", "0", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--base" in err
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "trials" in err
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -84,8 +84,11 @@ def test_continuity_bound_validates_inputs():
 
 
 def test_continuity_bound_invariant_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ContinuityBound(agreement_order=3, budget=Fraction(1), params=PARAMS, bound=Fraction(1))
+    ratio = PARAMS.r_prime / PARAMS.r
+    derived = ContinuityBound(agreement_order=3, budget=Fraction(5), params=PARAMS)
+    assert derived.bound == 2 * 5 * ratio**3 / (1 - ratio)
 
 
 def test_budget_implies_coefficient_bound():

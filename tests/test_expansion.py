@@ -205,8 +205,6 @@ def test_certificate_rejects_oversized_digit():
             params=PARAMS,
             digits=((-1, 11),),
             residual=Fraction(0),
-            digit_bound=Fraction(11),
-            norm_budget=Fraction(100),
             exponent_floor=-1,
         )
 
@@ -218,8 +216,6 @@ def test_certificate_rejects_unordered_exponents():
             params=PARAMS,
             digits=((2, 3), (1, 3)),
             residual=Fraction(0),
-            digit_bound=Fraction(11),
-            norm_budget=Fraction(100),
             exponent_floor=1,
         )
 
@@ -231,7 +227,5 @@ def test_certificate_rejects_large_residual():
             params=PARAMS,
             digits=((1, 4),),
             residual=Fraction(1, 10),
-            digit_bound=Fraction(11),
-            norm_budget=Fraction(100),
             exponent_floor=1,
         )

@@ -77,6 +77,23 @@ def test_series_json_rejects_malformed():
         formats.series_from_json_dict({"trems": []})
     with pytest.raises(ValueError):
         formats.series_from_json_dict({"terms": [[0]]})
+    with pytest.raises(ValueError):
+        formats.series_from_json_dict({"terms": 5})
+    with pytest.raises(ValueError):
+        formats.series_from_json_dict({"terms": "0 1"})
+
+
+@pytest.mark.parametrize(
+    "entry", [[1.7, 1], [0, 1e20], [0, 1.0], [0, True], [True, 1], [0, "1.5"], [0, None]]
+)
+def test_series_json_rejects_non_integer_fields(entry):
+    with pytest.raises(ValueError):
+        formats.series_from_json_dict({"terms": [entry]})
+
+
+def test_series_json_accepts_int_and_string_coefficients():
+    data = {"terms": [[0, 7], [2, "-3"]]}
+    assert formats.series_from_json_dict(data) == LaurentSeries({0: 7, 2: -3})
 
 
 def test_certificate_wire_format_is_exactly_five_keys():
@@ -99,6 +116,14 @@ def test_certificate_tampering_rejected():
     data = formats.certificate_to_json_dict(cert)
     data["digits"][0] = [1, 99]
     with pytest.raises(ValueError):
+        formats.certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["x", "r", "r_prime", "digits", "residual"])
+def test_certificate_missing_key_is_named(key):
+    data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 6))
+    del data[key]
+    with pytest.raises(ValueError, match=repr(key)):
         formats.certificate_from_json_dict(data)
 
 

@@ -17,8 +17,8 @@ from laurentreal import (
     generator,
     in_kernel,
     inverse_truncation,
-    not_zero_divisor_check,
 )
+from laurentreal.verify import run_exactness_suite
 
 from conftest import nonzero_series, series
 
@@ -178,20 +178,13 @@ def test_multiplication_by_generator_is_injective(h):
 # --- reports and norm control
 
 
-def test_not_zero_divisor_report():
-    report = not_zero_divisor_check(GEN10, trials=200, seed=7)
-    assert report["trials"] == 200
-    assert report["failures"] == []
-    assert report["passed"] is True
-
-
 def test_single_negative_power_is_not_killed():
     assert GEN10.poly * LaurentSeries({-5: 1})
 
 
 def test_not_zero_divisor_requires_positive_trials():
     with pytest.raises(ValueError):
-        not_zero_divisor_check(GEN10, trials=0)
+        run_exactness_suite(PARAMS, trials=0)
 
 
 def test_norm_submultiplicative_on_inverse_truncations():

@@ -4,10 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laurentreal import (
     CardinalityCapError,
     RadiusParams,
+    TruncationSet,
     count_truncations,
     enumerate_truncations,
     expand,
@@ -22,12 +25,17 @@ def params(r, c):
     return RadiusParams(r, r / 10, c=c)
 
 
+def fraction_norm(tup, r):
+    """Reference norm in Fraction arithmetic, the oracle for enumerate and validate."""
+    return sum(abs(a) * r**n for n, a in enumerate(tup))
+
+
 def brute_force(m, p):
     """Independent oracle: scan the whole digit box, filter by the exact norm."""
     bounds = [int(p.c / p.r**n) for n in range(m + 1)]
     hits = []
     for tup in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        if sum(abs(a) * p.r**n for n, a in enumerate(tup)) <= p.c:
+        if fraction_norm(tup, p.r) <= p.c:
             hits.append(tup)
     return sorted(hits)
 
@@ -79,6 +87,29 @@ def test_digit_ranges_certified():
 
 def test_validate_accepts_enumerated_sets():
     enumerate_truncations(2, params(HALF, Fraction(1))).validate()
+
+
+@settings(max_examples=300)
+@given(
+    r=st.sampled_from([HALF, Fraction(2, 3), Fraction(3, 7), Fraction(9, 10)]),
+    c=st.fractions(min_value=Fraction(1, 10), max_value=5, max_denominator=12),
+    width=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+    on_budget=st.booleans(),
+)
+def test_validate_agrees_with_fraction_norm(r, c, width, data, on_budget):
+    tup = st.lists(st.integers(-6, 6), min_size=width, max_size=width).map(tuple)
+    elements = data.draw(st.lists(tup, min_size=1, max_size=4))
+    norms = [fraction_norm(t, r) for t in elements]
+    if on_budget and max(norms):
+        c = max(norms)  # the largest tuple sits exactly on the budget
+    ts = TruncationSet(m=width - 1, params=params(r, c), elements=tuple(elements))
+    try:
+        ts.validate()
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == all(norm <= c for norm in norms)
 
 
 def test_count_matches_enumeration():
@@ -161,7 +192,7 @@ def test_expansion_certificates_appear_in_truncation_sets():
             continue
         coeffs = dict(cert.digits)
         tup = tuple(coeffs.get(n, 0) for n in range(4))
-        if sum(abs(a) * p.r**n for n, a in enumerate(tup)) <= p.c:
+        if fraction_norm(tup, p.r) <= p.c:
             assert tup in ts
 
 

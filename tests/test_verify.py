@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from laurentreal import RadiusParams, in_budget
+from laurentreal import LaurentSeries, RadiusParams, in_budget
 from laurentreal.verify import (
     PropertyResult,
     random_budgeted_series,
@@ -27,6 +27,12 @@ def test_suite_is_deterministic():
     first = [r.to_dict() for r in run_exactness_suite(PARAMS, trials=25, seed=9)]
     second = [r.to_dict() for r in run_exactness_suite(PARAMS, trials=25, seed=9)]
     assert first == second
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_suite_requires_positive_trials(trials):
+    with pytest.raises(ValueError):
+        run_exactness_suite(PARAMS, trials=trials, seed=0)
 
 
 def test_suite_requires_unit_numerator_point():
@@ -52,3 +58,36 @@ def test_random_budgeted_series_respects_budget():
 def test_random_nonzero_series_is_nonzero():
     rng = random.Random(4)
     assert all(random_nonzero_series(rng) for _ in range(50))
+
+
+def fraction_random_budgeted_series(rng, r, budget, min_exp, max_exp):
+    """Reference implementation in Fraction arithmetic: the norm spent so far."""
+    remaining = budget
+    coeffs = {}
+    for n in range(min_exp, max_exp + 1):
+        weight = r**n
+        largest = int(remaining / weight)
+        if largest:
+            d = rng.randint(-largest, largest)
+            if d:
+                coeffs[n] = d
+                remaining -= abs(d) * weight
+    return LaurentSeries(coeffs)
+
+
+@pytest.mark.parametrize(
+    "r, budget, min_exp, max_exp",
+    [
+        (Fraction(1, 2), Fraction(3), -3, 8),
+        (Fraction(1, 2), Fraction(1, 2), 4, 9),
+        (Fraction(2, 3), Fraction(6), -2, 9),
+        (Fraction(3, 7), Fraction(5, 4), 0, 6),
+    ],
+)
+def test_random_budgeted_series_matches_fraction_reference(r, budget, min_exp, max_exp):
+    for seed in range(100):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        got = random_budgeted_series(rng, r, budget, min_exp, max_exp)
+        want = fraction_random_budgeted_series(reference_rng, r, budget, min_exp, max_exp)
+        assert got == want
+        assert rng.getstate() == reference_rng.getstate()
