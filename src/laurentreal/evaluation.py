@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction
+from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum
 
 
 def _evaluation_point(at: RadiusParams | RationalLike) -> Fraction:
@@ -27,11 +27,12 @@ def _evaluation_point(at: RadiusParams | RationalLike) -> Fraction:
 def evaluate(f: LaurentSeries, at: RadiusParams | RationalLike) -> Fraction:
     """Sum of a_n * r_prime**n over the support of f, as an exact rational.
 
+    Computed in integers by series.power_sum (homogenized Horner).
+
     Additive and multiplicative: evaluate(f + g) == evaluate(f) + evaluate(g)
     and evaluate(f * g) == evaluate(f) * evaluate(g).
     """
-    point = _evaluation_point(at)
-    return sum((a * point**n for n, a in f.items()), Fraction(0))
+    return power_sum(f.items(), _evaluation_point(at))
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,33 @@ Digit choice is deterministic: among the two admissible integers we always
 truncate toward zero, which keeps the residual sign equal to the sign of x
 and terminates with residual exactly 0 on inputs whose base-(1/r_prime)
 expansion is finite.
+
+Everything runs in plain integers, with r_prime = u/w.  min_exponent
+brackets n with O(log |n|) big-integer products.  The expansion itself is
+long division (radix conversion): the residual over r_prime**n is kept as
+a pair of integers R / D, each digit is one divmod, and moving one
+exponent right multiplies R by w and D by u.  At r_prime = 1/b, D stays
+fixed and |R| < b*D, so each digit costs time linear in the size of x;
+for u > 1 the operands grow by log2(u*w) bits per exponent, as the exact
+residuals do.  One Fraction, the final residual, is built at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction
+from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum
 
 
 def min_exponent(x: RationalLike, r_prime: RationalLike) -> int:
     """The unique n with r_prime**n <= |x| < r_prime**(n-1).
 
-    Logarithm-free: bracket by repeated exact multiplication or division
-    by r_prime, then stop on the first power that fits.  x must be nonzero.
+    Logarithm- and float-free: with r_prime = u/w and |x| = P/Q the test
+    r_prime**n <= |x| is the integer comparison u**n * Q <= P * w**n,
+    which flips once as n grows.  Galloping then bisecting on it finds n
+    with O(log |n|) big-integer products.  x must be nonzero.
     """
     x = exact_fraction(x, "x")
     r_prime = exact_fraction(r_prime, "r_prime")
@@ -35,33 +47,61 @@ def min_exponent(x: RationalLike, r_prime: RationalLike) -> int:
         raise ValueError(f"r_prime must lie in (0, 1), got {r_prime}")
     if x == 0:
         raise ValueError("min_exponent is undefined for x = 0")
-    ax = abs(x)
-    n = 0
-    power = Fraction(1)
-    if power <= ax:
-        while power / r_prime <= ax:
-            power /= r_prime
-            n -= 1
-    else:
-        while power > ax:
-            power *= r_prime
-            n += 1
-    return n
+    u, w = r_prime.numerator, r_prime.denominator
+    P, Q = abs(x.numerator), x.denominator
+    if Q <= P:
+        # |x| >= 1: the largest m >= 0 with (w/u)**m <= |x| gives n = -m
+        return -_last_holding(Q, P, w, u, operator.le)
+    # |x| < 1: the largest k >= 0 with |x| < r_prime**k gives n = k + 1
+    return _last_holding(P, Q, w, u, operator.lt) + 1
 
 
-def _digit_step(x: Fraction, n: int, power: Fraction) -> tuple[int, Fraction]:
-    """Emit the digit at exponent n (power == r_prime**n) and the next residual.
+def _last_holding(lhs: int, rhs: int, a: int, b: int, holds) -> int:
+    """Largest k >= 0 with holds(lhs * a**k, rhs * b**k), given it holds at 0.
 
-    Verifies the defining strict inequalities before returning.
+    Needs a > b > 0, so the test fails for large k.  Steps of 1, 2, 4, ...
+    are taken while it holds; the halved steps are then retried in turn
+    (binary lifting), so k costs O(log k) products.
     """
-    quotient = x / power
-    digit = int(quotient)  # truncation toward zero
-    residual = x - digit * power
-    if digit == 0 or abs(quotient - digit) >= 1:
-        raise ArithmeticError(f"digit {digit} violates |x/r_prime**n - a| < 1 at n={n}")
-    if not (abs(residual) < power <= abs(x)):
-        raise ArithmeticError(f"residual {residual} fails strict descent at n={n}")
-    return digit, residual
+    k = 0
+    taken: list[tuple[int, int, int]] = []
+    step = 1
+    while holds(lhs * a, rhs * b):
+        lhs, rhs, k = lhs * a, rhs * b, k + step
+        taken.append((step, a, b))
+        step, a, b = 2 * step, a * a, b * b
+    for step, a, b in reversed(taken):
+        if holds(lhs * a, rhs * b):
+            lhs, rhs, k = lhs * a, rhs * b, k + step
+    return k
+
+
+def _greedy(
+    x: Fraction, r_prime: Fraction, n: int, max_digits: int
+) -> tuple[list[tuple[int, int]], Fraction]:
+    """Up to max_digits greedy digits of x from exponent n on, and the residual.
+
+    n must be min_exponent(x, r_prime).  Each digit is checked against the
+    defining strict inequalities before it is kept.
+    """
+    u, w = r_prime.numerator, r_prime.denominator
+    # R / D is the residual over r_prime**n, with D > 0
+    if n >= 0:
+        R, D = x.numerator * w**n, x.denominator * u**n
+    else:
+        R, D = x.numerator * u**-n, x.denominator * w**-n
+    digits: list[tuple[int, int]] = []
+    while R and len(digits) < max_digits:
+        while abs(R) < D:  # no digit at this exponent
+            R, D, n = R * w, D * u, n + 1
+        digit, rest = divmod(abs(R), D)  # truncation toward zero
+        if R < 0:
+            digit, rest = -digit, -rest
+        if digit == 0 or not (abs(rest) < D <= abs(R)):
+            raise ArithmeticError(f"digit {digit} fails strict descent at n={n}")
+        digits.append((n, digit))
+        R, D, n = rest * w, D * u, n + 1
+    return digits, Fraction(R, D) * r_prime**n
 
 
 def next_digit(
@@ -76,7 +116,7 @@ def next_digit(
     """
     x = exact_fraction(x, "x")
     n = min_exponent(x, params.r_prime)
-    digit, residual = _digit_step(x, n, params.r_prime**n)
+    [(n, digit)], residual = _greedy(x, params.r_prime, n, 1)
     return n, digit, residual
 
 
@@ -105,7 +145,8 @@ class ExpansionCertificate:
 
     def __post_init__(self) -> None:
         r, rp = self.params.r, self.params.r_prime
-        digit_bound = 1 + 1 / rp
+        u, w = rp.numerator, rp.denominator
+        digit_bound = Fraction(u + w, u)
         if self.exponent_floor is None:
             norm_budget = Fraction(0)
         else:
@@ -113,16 +154,15 @@ class ExpansionCertificate:
         object.__setattr__(self, "digit_bound", digit_bound)
         object.__setattr__(self, "norm_budget", norm_budget)
         previous = None
-        norm = Fraction(0)
         for n, a in self.digits:
             if previous is not None and n <= previous:
                 raise ValueError(f"exponents must strictly increase, got {n} after {previous}")
-            if abs(a) >= digit_bound:
+            if u * abs(a) >= u + w:
                 raise ValueError(f"digit {a} at exponent {n} exceeds bound {digit_bound}")
             if self.exponent_floor is None or n < self.exponent_floor:
                 raise ValueError(f"exponent {n} below the uniform floor {self.exponent_floor}")
             previous = n
-            norm += abs(a) * r**n
+        norm = power_sum(((n, abs(a)) for n, a in self.digits), r)
         if norm > norm_budget:
             raise ValueError(f"digit norm {norm} exceeds budget {norm_budget}")
         if self.digits and not abs(self.residual) < rp ** self.digits[-1][0]:
@@ -140,24 +180,12 @@ def expand(
     if not isinstance(max_digits, int) or max_digits < 0:
         raise ValueError(f"max_digits must be a nonnegative integer, got {max_digits}")
     x = exact_fraction(x, "x")
-    rp = params.r_prime
     digits: list[tuple[int, int]] = []
     residual = x
     floor: int | None = None
     if x != 0:
-        n = min_exponent(x, rp)
-        floor = n
-        power = rp**n
-        while residual != 0 and len(digits) < max_digits:
-            # exponents only move right, so forward scanning finds the
-            # minimal exponent for each residual without re-bracketing
-            while power > abs(residual):
-                power *= rp
-                n += 1
-            digit, residual = _digit_step(residual, n, power)
-            digits.append((n, digit))
-            power *= rp
-            n += 1
+        floor = min_exponent(x, params.r_prime)
+        digits, residual = _greedy(x, params.r_prime, floor, max_digits)
     return ExpansionCertificate(
         target=x,
         params=params,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expansion import ExpansionCertificate, min_exponent
-from .series import LaurentSeries, RadiusParams
+from .series import LaurentSeries, RadiusParams, power_sum
 
 
 def format_rational(q: Fraction) -> str:
@@ -21,6 +21,8 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer) into an exact Fraction."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a \"p/q\" string, got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -101,11 +103,11 @@ def certificate_to_json_dict(cert: ExpansionCertificate) -> dict:
 def certificate_from_json_dict(data: dict) -> ExpansionCertificate:
     """Rebuild a certificate from its wire format; the bound fields are derived.
 
-    Checked: all five keys are present, the digits are integer pairs, and
-    the ExpansionCertificate invariants hold against the exponent floor of
-    x (ordered exponents, digit, floor and norm bounds, residual bound).
-    Not checked yet: that x equals the digit series' value plus the
-    residual, so digits or a residual altered within those bounds pass.
+    Checked: all five keys are present, the rationals are "p/q" strings,
+    the digits are integer pairs, the ExpansionCertificate invariants hold
+    against the exponent floor of x (ordered exponents, digit, floor and
+    norm bounds, residual bound), and x equals the digit series' value at
+    r_prime plus the residual, so altered digits or residuals are rejected.
     """
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")
@@ -114,13 +116,16 @@ def certificate_from_json_dict(data: dict) -> ExpansionCertificate:
             raise ValueError(f"certificate JSON lacks the {key!r} key")
     params = RadiusParams(parse_rational(data["r"]), parse_rational(data["r_prime"]))
     target = parse_rational(data["x"])
-    return ExpansionCertificate(
+    cert = ExpansionCertificate(
         target=target,
         params=params,
         digits=tuple(_json_terms(data["digits"])),
         residual=parse_rational(data["residual"]),
         exponent_floor=min_exponent(target, params.r_prime) if target != 0 else None,
     )
+    if power_sum(cert.digits, params.r_prime) + cert.residual != target:
+        raise ValueError("certificate digits plus residual do not sum to x")
+    return cert
 
 
 def format_decimal(

@@ -2,13 +2,14 @@
 
 For an integer base b >= 2 the polynomial 1 - b*T evaluates to zero at
 1/b and generates the full kernel among finitely supported series: a
-series g evaluates to zero at 1/b exactly when synthetic division by
-1 - b*T terminates with zero remainder.  Both membership routes are
+series g evaluates to zero at 1/b exactly when long division by
+1 - b*T leaves zero remainder.  Both membership routes are
 implemented independently so their agreement can be tested.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,27 +79,36 @@ def inverse_truncation(gen: KernelGenerator, N: int) -> LaurentSeries:
 def divide(g: LaurentSeries, gen: KernelGenerator) -> LaurentSeries:
     """Exact quotient h with gen.poly * h == g, if one exists.
 
-    Synthetic division from the lowest exponent: the generator's constant
-    term is a unit, so every quotient coefficient is an integer.  When g
-    is divisible the quotient's top exponent is max(support(g)) - 1, so
-    the division is declared failed as soon as the running remainder's
-    valuation passes that point; the remainder is reported verbatim in
-    the raised NotDivisibleError.
+    Long division from the lowest exponent, in plain integers: with
+    gen.poly == sign * (1 - base*T), the quotient coefficients obey
+    h_k = sign*g_k + base*h_(k-1).  When g is divisible the quotient's
+    top exponent is max(support(g)) - 1, so the recurrence runs up to
+    there and what it leaves at the top exponent is the remainder; a
+    nonzero one is reported, with the quotient so far, in the raised
+    NotDivisibleError.  A zero carry skips straight to the next exponent
+    of g, so a sparse multiple costs O(terms) steps and a dense one
+    O(span).
     """
     if not g:
         return LaurentSeries.zero()
-    top = g.support()[-1]
-    unit = gen.poly.coefficient(0)
-    remainder = g
-    quotient = LaurentSeries.zero()
-    while remainder:
-        low = remainder.support()[0]
-        if low > top - 1:
-            raise NotDivisibleError(remainder, quotient)
-        term = LaurentSeries.term(remainder.coefficient(low) // unit, low)
-        quotient = quotient + term
-        remainder = remainder - gen.poly * term
-    return quotient
+    support = g.support()
+    top = support[-1]
+    sign, base = gen.sign, gen.base
+    quotient: dict[int, int] = {}
+    carry = 0  # h_(k-1)
+    k = support[0]
+    while k < top:
+        carry = sign * g.coefficient(k) + base * carry
+        if carry:
+            quotient[k] = carry
+            k += 1
+        else:
+            k = support[bisect_right(support, k)]
+    # the recurrence at the top exponent yields sign * remainder
+    left = sign * g.coefficient(top) + base * carry
+    if left:
+        raise NotDivisibleError(LaurentSeries.term(sign * left, top), LaurentSeries(quotient))
+    return LaurentSeries(quotient)
 
 
 def in_kernel(g: LaurentSeries, params: RadiusParams) -> bool:

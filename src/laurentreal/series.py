@@ -26,6 +26,41 @@ def exact_fraction(value: RationalLike, what: str = "value") -> Fraction:
     return Fraction(value)
 
 
+def power_sum(terms: Iterable[tuple[int, int]], x: Fraction) -> Fraction:
+    """Exact sum of a * x**n over (n, a) pairs with distinct exponents, x > 0.
+
+    Homogenized Horner in plain integers: with x = p/q and exponents
+    between lo and hi, descending from hi accumulates
+    sum a_n * p**(n - lo) * q**(hi - n), and the value is that integer
+    times p**lo / q**hi.  A gap of g exponents costs one pow, so sparse,
+    wide series stay cheap; one Fraction is built at the end.
+    """
+    pairs = sorted(terms, reverse=True)
+    if not pairs:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    hi = previous = pairs[0][0]
+    acc = 0
+    q_power = 1  # q**(hi - n) at the current exponent n
+    for n, a in pairs:
+        gap = previous - n
+        if gap:
+            acc *= p**gap
+            q_power *= q**gap
+        acc += a * q_power
+        previous = n
+    numerator, denominator = acc, 1
+    if previous >= 0:
+        numerator *= p**previous
+    else:
+        denominator *= p**-previous
+    if hi >= 0:
+        denominator *= q**hi
+    else:
+        numerator *= q**-hi
+    return Fraction(numerator, denominator)
+
+
 class LaurentSeries:
     """An integral Laurent series with finite support.
 
@@ -163,7 +198,7 @@ class LaurentSeries:
         r = exact_fraction(r, "radius r")
         if not (0 < r < 1):
             raise ValueError(f"radius r must lie in (0, 1), got {r}")
-        return sum((abs(a) * r**n for n, a in self._coeffs.items()), Fraction(0))
+        return power_sum(((n, abs(a)) for n, a in self._coeffs.items()), r)
 
     def t_valuation(self) -> int | float:
         """Least exponent with nonzero coefficient; +infinity for the zero series."""

@@ -15,7 +15,7 @@ inner loops in plain integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import RadiusParams
@@ -41,6 +41,10 @@ class TruncationSet:
     m: int
     params: RadiusParams
     elements: tuple[tuple[int, ...], ...]
+    # built on the first lookup, so listing-only callers never pay for it
+    _lookup: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -49,7 +53,9 @@ class TruncationSet:
         return iter(self.elements)
 
     def __contains__(self, tup) -> bool:
-        return tuple(tup) in set(self.elements)
+        if self._lookup is None:
+            object.__setattr__(self, "_lookup", frozenset(self.elements))
+        return tuple(tup) in self._lookup
 
     def validate(self) -> None:
         """Re-check every stored tuple against the exact norm bound."""
@@ -75,25 +81,28 @@ def enumerate_truncations(
     """Exhaustively enumerate the degree-m truncation set in lexicographic order.
 
     Digit ranges shrink with the budget remaining after each prefix, so
-    only admissible tuples are ever produced.  Raises CardinalityCapError
-    once more than cap tuples have been generated.
+    only admissible tuples are ever produced.  The set is counted first,
+    so CardinalityCapError is raised before any tuple is built when it has
+    more than cap elements.
     """
     _check_enumeration_args(m, params)
     weights, budget = _integer_weights(m, params.r, params.c)
+    _count(weights, budget, m, params, cap)
     out: list[tuple[int, ...]] = []
-
-    def descend(prefix: tuple[int, ...], level: int, remaining: int) -> None:
+    # depth first without recursion; children are pushed in reverse so
+    # they pop in ascending order, and each pending prefix holds a tuple
+    stack: list[tuple[tuple[int, ...], int]] = [((), budget)]
+    while stack:
+        prefix, remaining = stack.pop()
+        level = len(prefix)
         bound = remaining // weights[level]
         if level == m:
             out.extend(prefix + (d,) for d in range(-bound, bound + 1))
-            if len(out) > cap:
-                raise CardinalityCapError(m, params, cap)
-            return
-        w = weights[level]
-        for d in range(-bound, bound + 1):
-            descend(prefix + (d,), level + 1, remaining - abs(d) * w)
-
-    descend((), 0, budget)
+        else:
+            w = weights[level]
+            stack.extend(
+                (prefix + (d,), remaining - abs(d) * w) for d in range(bound, -bound - 1, -1)
+            )
     return TruncationSet(m=m, params=params, elements=tuple(out))
 
 
@@ -101,21 +110,45 @@ def count_truncations(m: int, params: RadiusParams, cap: int = DEFAULT_CAP) -> i
     """Cardinality of the degree-m truncation set, without materializing it."""
     _check_enumeration_args(m, params)
     weights, budget = _integer_weights(m, params.r, params.c)
+    return _count(weights, budget, m, params, cap)
 
-    def descend(level: int, remaining: int) -> int:
-        bound = remaining // weights[level]
-        if level == m:
-            return 2 * bound + 1
+
+def _count(weights: list[int], budget: int, m: int, params: RadiusParams, cap: int) -> int:
+    """Tuples within the integer budget; CardinalityCapError once above cap.
+
+    Depth first without recursion.  d and -d leave the same remaining
+    budget, so a pending prefix carries a multiplicity instead of being
+    visited twice, and the last level is summed in one pass.  Every
+    prefix extends to at least one tuple, so finished tuples plus pending
+    multiplicities bound the count from below; that bound is checked
+    before any digit range is walked, so the work stays proportional to
+    cap even when a single range is astronomically wide.
+    """
+    last = weights[m]
+    total = 0
+    pending = 1  # sum of the multiplicities on the stack
+    stack = [(0, budget, 1)]  # (level, remaining budget, multiplicity)
+    while stack:
+        level, remaining, mult = stack.pop()
+        pending -= mult
+        if remaining < last:  # weights decrease, so only the zero tail fits
+            total += mult
+            continue
         w = weights[level]
-        # d and -d leave the same remaining budget, so count each subtree once
-        total = descend(level + 1, remaining)
-        for d in range(1, bound + 1):
-            total += 2 * descend(level + 1, remaining - d * w)
-            if total > cap:
-                raise CardinalityCapError(m, params, cap)
-        return total
-
-    total = descend(0, budget)
+        bound = remaining // w
+        if total + pending + mult * (2 * bound + 1) > cap:
+            raise CardinalityCapError(m, params, cap)
+        if level == m:
+            total += mult * (2 * bound + 1)
+        elif level == m - 1:
+            leaves = 2 * (remaining // last) + 1
+            for d in range(1, bound + 1):
+                leaves += 4 * ((remaining - d * w) // last) + 2
+            total += mult * leaves
+        else:
+            stack.append((level + 1, remaining, mult))
+            stack.extend((level + 1, remaining - d * w, 2 * mult) for d in range(1, bound + 1))
+            pending += mult * (2 * bound + 1)
     if total > cap:
         raise CardinalityCapError(m, params, cap)
     return total

@@ -162,6 +162,15 @@ def test_enumerate_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_deep_enumeration_hits_the_cap(capsys):
+    # 1,501 levels: a recursive walk would exceed Python's recursion limit
+    for extra in ([], ["--count-only"]):
+        code, out, err = run(capsys, "enumerate", "--m", "1500", "--r", "1/2", "--c", "1", *extra)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
+
+
 def test_base_r_prime_consistency_enforced(capsys):
     code, _, err = run(capsys, "verify", "--r-prime", "1/10", "--base", "7", "--trials", "1")
     assert code == 2

@@ -119,6 +119,36 @@ def test_certificate_tampering_rejected():
         formats.certificate_from_json_dict(data)
 
 
+def test_certificate_with_altered_digits_and_residual_rejected():
+    # digits and residual within every bound, but summing to 99/100, not 1/3
+    data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 5))
+    data["digits"] = [[1, 9], [2, 9]]
+    data["residual"] = "0/1"
+    with pytest.raises(ValueError, match="do not sum to x"):
+        formats.certificate_from_json_dict(data)
+
+
+def test_certificate_with_altered_residual_rejected():
+    data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 5))
+    data["residual"] = "1/300001"
+    with pytest.raises(ValueError, match="do not sum to x"):
+        formats.certificate_from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [5, 0.5, None, ["1/3"]])
+def test_parse_rational_rejects_non_strings(value):
+    with pytest.raises(ValueError):
+        formats.parse_rational(value)
+
+
+@pytest.mark.parametrize("key", ["x", "r", "r_prime", "residual"])
+def test_certificate_non_string_rational_is_value_error(key):
+    data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 5))
+    data[key] = 5
+    with pytest.raises(ValueError):
+        formats.certificate_from_json_dict(data)
+
+
 @pytest.mark.parametrize("key", ["x", "r", "r_prime", "digits", "residual"])
 def test_certificate_missing_key_is_named(key):
     data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 6))

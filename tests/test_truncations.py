@@ -118,11 +118,61 @@ def test_count_matches_enumeration():
         assert count_truncations(m, p) == len(enumerate_truncations(m, p))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(0, 5),
+    r=st.fractions(min_value=0, max_value=Fraction(6, 7), max_denominator=7).filter(lambda q: q > 0),
+    c=st.fractions(min_value=0, max_value=3, max_denominator=7).filter(lambda q: q > 0),
+)
+def test_count_and_enumeration_agree_everywhere(m, r, c):
+    p = params(r, c)
+    try:
+        size = count_truncations(m, p, cap=10**4)
+    except CardinalityCapError:
+        with pytest.raises(CardinalityCapError):
+            enumerate_truncations(m, p, cap=10**4)
+        return
+    elements = enumerate_truncations(m, p, cap=10**4).elements
+    assert len(elements) == size
+    assert list(elements) == sorted(set(elements))
+    weights = [r**n for n in range(m + 1)]
+    assert all(sum(abs(a) * w for a, w in zip(t, weights)) <= c for t in elements)
+
+
 def test_cap_is_enforced():
     with pytest.raises(CardinalityCapError):
         enumerate_truncations(1, params(HALF, Fraction(1)), cap=5)
     with pytest.raises(CardinalityCapError):
         count_truncations(8, params(Fraction(9, 10), Fraction(50)), cap=10**4)
+
+
+def test_cap_boundary_is_exact():
+    p = params(HALF, Fraction(2))
+    size = count_truncations(3, p)
+    assert len(enumerate_truncations(3, p, cap=size)) == size
+    assert count_truncations(3, p, cap=size) == size
+    with pytest.raises(CardinalityCapError):
+        enumerate_truncations(3, p, cap=size - 1)
+    with pytest.raises(CardinalityCapError):
+        count_truncations(3, p, cap=size - 1)
+
+
+def test_deep_truncation_sets_need_no_recursion():
+    # only the last of 1,501 coordinates has room for a nonzero digit
+    p = params(HALF, HALF**1500)
+    assert count_truncations(1500, p) == 3
+    zeros = (0,) * 1500
+    assert enumerate_truncations(1500, p).elements == (zeros + (-1,), zeros + (0,), zeros + (1,))
+
+
+def test_membership_index_stays_out_of_equality_hash_and_repr():
+    p = params(HALF, Fraction(1))
+    looked_up = enumerate_truncations(2, p)
+    assert (0, 0, 0) in looked_up and [0, -2, 0] in looked_up
+    assert (0, 0, 5) not in looked_up
+    fresh = enumerate_truncations(2, p)
+    assert looked_up == fresh and hash(looked_up) == hash(fresh)
+    assert repr(looked_up) == repr(fresh)
 
 
 def test_enumerate_requires_budget():
