@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from . import formats
 from .evaluation import evaluate
@@ -29,33 +27,28 @@ EXIT_CAP_EXCEEDED = 4
 EXIT_PROPERTY_FAILURE = 5
 
 
-@dataclass
-class Config:
-    params: RadiusParams
-    base: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> Config:
-        r = formats.parse_rational(getattr(args, "r", None) or "1/2")
-        r_prime_arg = getattr(args, "r_prime", None)
-        base = getattr(args, "base", None)
-        if base is not None and base < 2:
-            raise ValueError(f"--base must be an integer >= 2, got {base}")
-        if r_prime_arg is not None:
-            r_prime = formats.parse_rational(r_prime_arg)
-        elif base is not None:
-            r_prime = Fraction(1, base)
-        elif r > Fraction(1, 10):
-            r_prime = Fraction(1, 10)
-        else:
-            r_prime = r / 10
-        if base is not None and r_prime != Fraction(1, base):
-            raise ValueError(f"--base {base} inconsistent with --r-prime {r_prime}")
-        if base is None:
-            base = r_prime.denominator if r_prime.numerator == 1 else 10
-        c_arg = getattr(args, "c", None)
-        c = formats.parse_rational(c_arg) if c_arg is not None else None
-        return cls(params=RadiusParams(r, r_prime, c), base=base)
+def radius_args(args: argparse.Namespace) -> tuple[RadiusParams, int]:
+    """The radius parameters and the kernel base that the flags select."""
+    r = formats.parse_rational(getattr(args, "r", None) or "1/2")
+    r_prime_arg = getattr(args, "r_prime", None)
+    base = getattr(args, "base", None)
+    if base is not None and base < 2:
+        raise ValueError(f"--base must be an integer >= 2, got {base}")
+    if r_prime_arg is not None:
+        r_prime = formats.parse_rational(r_prime_arg)
+    elif base is not None:
+        r_prime = Fraction(1, base)
+    elif r > Fraction(1, 10):
+        r_prime = Fraction(1, 10)
+    else:
+        r_prime = r / 10
+    if base is not None and r_prime != Fraction(1, base):
+        raise ValueError(f"--base {base} inconsistent with --r-prime {r_prime}")
+    if base is None:
+        base = r_prime.denominator if r_prime.numerator == 1 else 10
+    c_arg = getattr(args, "c", None)
+    c = formats.parse_rational(c_arg) if c_arg is not None else None
+    return RadiusParams(r, r_prime, c), base
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,41 +115,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_series(path: str, fmt: str = "text"):
-    text = Path(path).read_text()
+    with open(path) as handle:
+        text = handle.read()
     if fmt == "json":
         return formats.series_from_json_dict(json.loads(text))
     return formats.parse_series_text(text)
 
 
-def cmd_expand(args: argparse.Namespace, config: Config) -> int:
+def cmd_expand(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     x = formats.parse_rational(args.x)
-    cert = expand(x, config.params, args.max_digits)
+    cert = expand(x, params, args.max_digits)
     print(json.dumps(formats.certificate_to_json_dict(cert), sort_keys=True))
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, config: Config) -> int:
+def cmd_eval(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     series = _load_series(args.file, args.format)
-    value = evaluate(series, config.params)
+    value = evaluate(series, params)
+    # built in full before printing, so a bad --decimal leaves stdout empty
+    report = {"value": formats.format_rational(value)}
+    if args.decimal is not None:
+        report["decimal"], report["exact"] = formats.format_decimal(value, args.decimal)
     if args.json:
-        report = {"value": formats.format_rational(value)}
-        if args.decimal is not None:
-            decimal, exact = formats.format_decimal(value, args.decimal)
-            report["decimal"] = decimal
-            report["exact"] = exact
         print(json.dumps(report, sort_keys=True))
         return EXIT_OK
-    print(formats.format_rational(value))
+    print(report["value"])
     if args.decimal is not None:
-        decimal, exact = formats.format_decimal(value, args.decimal)
-        print(f"{decimal} ({'exact' if exact else 'truncated'})")
+        print(f"{report['decimal']} ({'exact' if report['exact'] else 'truncated'})")
     return EXIT_OK
 
 
-def cmd_kernel_check(args: argparse.Namespace, config: Config) -> int:
+def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     series = _load_series(args.file)
-    gen = KernelGenerator(config.base)
-    member = in_kernel(series, config.params)
+    gen = KernelGenerator(base)
+    member = in_kernel(series, params)
     try:
         quotient = divide(series, gen)
         division = {"divisible": True, "quotient": formats.series_to_json_dict(quotient)}
@@ -167,7 +159,7 @@ def cmd_kernel_check(args: argparse.Namespace, config: Config) -> int:
         }
     agree = member == division["divisible"]
     report = {
-        "base": config.base,
+        "base": base,
         "evaluates_to_zero": member,
         "division": division,
         "routes_agree": agree,
@@ -175,38 +167,38 @@ def cmd_kernel_check(args: argparse.Namespace, config: Config) -> int:
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
-        print(f"evaluates to zero at 1/{config.base}: {member}")
-        print(f"divisible by 1 - {config.base}*T: {division['divisible']}")
+        print(f"evaluates to zero at 1/{base}: {member}")
+        print(f"divisible by 1 - {base}*T: {division['divisible']}")
         print(f"routes agree: {agree}")
     return EXIT_OK if agree else EXIT_PROPERTY_FAILURE
 
 
-def cmd_divide(args: argparse.Namespace, config: Config) -> int:
+def cmd_divide(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     series = _load_series(args.file)
-    gen = KernelGenerator(config.base)
+    gen = KernelGenerator(base)
     try:
         quotient = divide(series, gen)
     except NotDivisibleError as exc:
-        print(f"not divisible by 1 - {config.base}*T; remainder follows", file=sys.stderr)
+        print(f"not divisible by 1 - {base}*T; remainder follows", file=sys.stderr)
         sys.stdout.write(formats.format_series_text(exc.remainder))
         return EXIT_NOT_DIVISIBLE
     sys.stdout.write(formats.format_series_text(quotient))
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace, config: Config) -> int:
+def cmd_enumerate(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     if args.count_only:
-        print(count_truncations(args.m, config.params, args.cap))
+        print(count_truncations(args.m, params, args.cap))
         return EXIT_OK
-    truncations = enumerate_truncations(args.m, config.params, args.cap)
+    truncations = enumerate_truncations(args.m, params, args.cap)
     for tup in truncations:
         print(",".join(str(a) for a in tup))
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: Config) -> int:
+def cmd_verify(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     results = run_exactness_suite(
-        config.params,
+        params,
         trials=args.trials,
         seed=args.seed,
         max_digits=args.max_digits,
@@ -215,9 +207,9 @@ def cmd_verify(args: argparse.Namespace, config: Config) -> int:
         report = {
             "seed": args.seed,
             "trials": args.trials,
-            "r": formats.format_rational(config.params.r),
-            "r_prime": formats.format_rational(config.params.r_prime),
-            "base": config.base,
+            "r": formats.format_rational(params.r),
+            "r_prime": formats.format_rational(params.r_prime),
+            "base": base,
             "properties": [r.to_dict() for r in results],
             "passed": all(r.passed for r in results),
         }
@@ -233,8 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config.from_args(args)
-        return args.handler(args, config)
+        return args.handler(args, *radius_args(args))
     except CardinalityCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -9,10 +9,11 @@ agree on every exponent up to N evaluate within
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum
+from .series import (
+    FrozenRecord, LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum,
+)
 
 
 def _evaluation_point(at: RadiusParams | RationalLike) -> Fraction:
@@ -35,22 +36,18 @@ def evaluate(f: LaurentSeries, at: RadiusParams | RationalLike) -> Fraction:
     return power_sum(f.items(), _evaluation_point(at))
 
 
-@dataclass(frozen=True)
-class ContinuityBound:
+class ContinuityBound(FrozenRecord):
     """Certified output gap for budgeted series agreeing up to an exponent.
 
     bound = 2*c*(r_prime/r)**N / (1 - r_prime/r), derived exactly at construction.
     """
 
-    agreement_order: int
-    budget: Fraction
-    params: RadiusParams
-    bound: Fraction = field(init=False)
+    _fields = ("agreement_order", "budget", "params", "bound")
 
-    def __post_init__(self) -> None:
-        ratio = self.params.r_prime / self.params.r
-        bound = 2 * self.budget * ratio**self.agreement_order / (1 - ratio)
-        object.__setattr__(self, "bound", bound)
+    def __init__(self, agreement_order: int, budget: Fraction, params: RadiusParams):
+        ratio = params.r_prime / params.r
+        bound = 2 * budget * ratio**agreement_order / (1 - ratio)
+        self._store(agreement_order=agreement_order, budget=budget, params=params, bound=bound)
 
 
 def continuity_bound(

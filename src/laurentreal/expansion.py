@@ -27,10 +27,11 @@ residuals do.  One Fraction, the final residual, is built at the end.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum
+from .series import (
+    FrozenRecord, LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum,
+)
 
 
 def min_exponent(x: RationalLike, r_prime: RationalLike) -> int:
@@ -120,8 +121,7 @@ def next_digit(
     return n, digit, residual
 
 
-@dataclass(frozen=True)
-class ExpansionCertificate:
+class ExpansionCertificate(FrozenRecord):
     """A greedy expansion together with the bounds that make it checkable.
 
     digit_bound = 1 + 1/r_prime and norm_budget, the exact geometric tail
@@ -135,38 +135,38 @@ class ExpansionCertificate:
       - the digit series has weighted norm at most norm_budget
     """
 
-    target: Fraction
-    params: RadiusParams
-    digits: tuple[tuple[int, int], ...]
-    residual: Fraction
-    exponent_floor: int | None
-    digit_bound: Fraction = field(init=False)
-    norm_budget: Fraction = field(init=False)
+    _fields = ("target", "params", "digits", "residual", "exponent_floor",
+               "digit_bound", "norm_budget")
 
-    def __post_init__(self) -> None:
-        r, rp = self.params.r, self.params.r_prime
+    def __init__(
+        self, target: Fraction, params: RadiusParams, digits: tuple[tuple[int, int], ...],
+        residual: Fraction, exponent_floor: int | None,
+    ):
+        r, rp = params.r, params.r_prime
         u, w = rp.numerator, rp.denominator
         digit_bound = Fraction(u + w, u)
-        if self.exponent_floor is None:
+        if exponent_floor is None:
             norm_budget = Fraction(0)
         else:
-            norm_budget = digit_bound * r**self.exponent_floor / (1 - r)
-        object.__setattr__(self, "digit_bound", digit_bound)
-        object.__setattr__(self, "norm_budget", norm_budget)
+            norm_budget = digit_bound * r**exponent_floor / (1 - r)
         previous = None
-        for n, a in self.digits:
+        for n, a in digits:
             if previous is not None and n <= previous:
                 raise ValueError(f"exponents must strictly increase, got {n} after {previous}")
             if u * abs(a) >= u + w:
                 raise ValueError(f"digit {a} at exponent {n} exceeds bound {digit_bound}")
-            if self.exponent_floor is None or n < self.exponent_floor:
-                raise ValueError(f"exponent {n} below the uniform floor {self.exponent_floor}")
+            if exponent_floor is None or n < exponent_floor:
+                raise ValueError(f"exponent {n} below the uniform floor {exponent_floor}")
             previous = n
-        norm = power_sum(((n, abs(a)) for n, a in self.digits), r)
+        norm = power_sum(((n, abs(a)) for n, a in digits), r)
         if norm > norm_budget:
             raise ValueError(f"digit norm {norm} exceeds budget {norm_budget}")
-        if self.digits and not abs(self.residual) < rp ** self.digits[-1][0]:
+        if digits and not abs(residual) < rp ** digits[-1][0]:
             raise ValueError("residual not below r_prime**n_last")
+        self._store(
+            target=target, params=params, digits=digits, residual=residual,
+            exponent_floor=exponent_floor, digit_bound=digit_bound, norm_budget=norm_budget,
+        )
 
 
 def expand(

@@ -10,11 +10,10 @@ implemented independently so their agreement can be tested.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .evaluation import evaluate
-from .series import LaurentSeries, RadiusParams
+from .series import FrozenRecord, LaurentSeries, RadiusParams
 
 
 class NotDivisibleError(ArithmeticError):
@@ -29,8 +28,7 @@ class NotDivisibleError(ArithmeticError):
         self.quotient_prefix = quotient_prefix
 
 
-@dataclass(frozen=True)
-class KernelGenerator:
+class KernelGenerator(FrozenRecord):
     """The degree-one kernel generator for the evaluation point 1/base.
 
     sign +1 is the normalized convention poly == 1 - base*T (constant term
@@ -39,16 +37,14 @@ class KernelGenerator:
     sign at construction, not passed.
     """
 
-    base: int
-    sign: int = 1
-    poly: LaurentSeries = field(init=False)
+    _fields = ("base", "sign", "poly")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"unsupported base {self.base!r}; need an integer >= 2")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "poly", LaurentSeries({0: self.sign, 1: -self.sign * self.base}))
+    def __init__(self, base: int, sign: int = 1):
+        if not isinstance(base, int) or base < 2:
+            raise ValueError(f"unsupported base {base!r}; need an integer >= 2")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        self._store(base=base, sign=sign, poly=LaurentSeries({0: sign, 1: -sign * base}))
 
     @property
     def r_prime(self) -> Fraction:

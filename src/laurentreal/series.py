@@ -8,11 +8,10 @@ floating point never enters this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def exact_fraction(value: RationalLike, what: str = "value") -> Fraction:
@@ -224,8 +223,41 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
-@dataclass(frozen=True)
-class RadiusParams:
+class FrozenRecord:
+    """Immutable value: eq, hash and repr as a frozen dataclass's, over _fields.
+
+    A subclass's __init__ checks its arguments and sets them with _store;
+    assignment and deletion raise AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, **values) -> None:
+        vars(self).update(values)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RadiusParams(FrozenRecord):
     """The radius pair fixing the ring and the evaluation point.
 
     Requires 0 < r_prime < r < 1 strictly, and c > 0 when a norm budget
@@ -233,36 +265,33 @@ class RadiusParams:
     rejected.
     """
 
-    r: Fraction
-    r_prime: Fraction
-    c: Fraction | None = None
+    _fields = ("r", "r_prime", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", exact_fraction(self.r, "r"))
-        object.__setattr__(self, "r_prime", exact_fraction(self.r_prime, "r_prime"))
-        if self.c is not None:
-            object.__setattr__(self, "c", exact_fraction(self.c, "c"))
-        if not (0 < self.r_prime < self.r < 1):
-            raise ValueError(
-                f"need 0 < r_prime < r < 1, got r_prime={self.r_prime}, r={self.r}"
-            )
-        if self.c is not None and self.c <= 0:
-            raise ValueError(f"norm budget c must be positive, got {self.c}")
+    def __init__(self, r: RationalLike, r_prime: RationalLike, c: RationalLike | None = None):
+        r = exact_fraction(r, "r")
+        r_prime = exact_fraction(r_prime, "r_prime")
+        if c is not None:
+            c = exact_fraction(c, "c")
+        if not (0 < r_prime < r < 1):
+            raise ValueError(f"need 0 < r_prime < r < 1, got r_prime={r_prime}, r={r}")
+        if c is not None and c <= 0:
+            raise ValueError(f"norm budget c must be positive, got {c}")
+        self._store(r=r, r_prime=r_prime, c=c)
 
     def with_budget(self, c: RationalLike) -> RadiusParams:
         return RadiusParams(self.r, self.r_prime, exact_fraction(c, "c"))
 
 
-@dataclass(frozen=True)
-class TAdicParams:
+class TAdicParams(FrozenRecord):
     """Base delta of the T-adic ultrametric; a free parameter in (0, 1)."""
 
-    delta: Fraction = Fraction(1, 2)
+    _fields = ("delta",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", exact_fraction(self.delta, "delta"))
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+    def __init__(self, delta: RationalLike = Fraction(1, 2)):
+        delta = exact_fraction(delta, "delta")
+        if not (0 < delta < 1):
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        self._store(delta=delta)
 
 
 def t_adic_distance(

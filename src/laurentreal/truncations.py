@@ -15,10 +15,9 @@ inner loops in plain integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import RadiusParams
+from .series import FrozenRecord, RadiusParams
 
 DEFAULT_CAP = 10**7
 
@@ -34,17 +33,14 @@ class CardinalityCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class TruncationSet:
+class TruncationSet(FrozenRecord):
     """All degree-m coefficient tuples within the norm budget, lex ordered."""
 
-    m: int
-    params: RadiusParams
-    elements: tuple[tuple[int, ...], ...]
-    # built on the first lookup, so listing-only callers never pay for it
-    _lookup: frozenset | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
+    _fields = ("m", "params", "elements")
+
+    def __init__(self, m: int, params: RadiusParams, elements: tuple[tuple[int, ...], ...]):
+        # _lookup is not a field: the membership index, built on first use
+        self._store(m=m, params=params, elements=elements, _lookup=None)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -54,7 +50,7 @@ class TruncationSet:
 
     def __contains__(self, tup) -> bool:
         if self._lookup is None:
-            object.__setattr__(self, "_lookup", frozenset(self.elements))
+            self._store(_lookup=frozenset(self.elements))
         return tuple(tup) in self._lookup
 
     def validate(self) -> None:
@@ -85,7 +81,7 @@ def enumerate_truncations(
     so CardinalityCapError is raised before any tuple is built when it has
     more than cap elements.
     """
-    _check_enumeration_args(m, params)
+    _check_enumeration_args(m, params, cap)
     weights, budget = _integer_weights(m, params.r, params.c)
     _count(weights, budget, m, params, cap)
     out: list[tuple[int, ...]] = []
@@ -108,7 +104,7 @@ def enumerate_truncations(
 
 def count_truncations(m: int, params: RadiusParams, cap: int = DEFAULT_CAP) -> int:
     """Cardinality of the degree-m truncation set, without materializing it."""
-    _check_enumeration_args(m, params)
+    _check_enumeration_args(m, params, cap)
     weights, budget = _integer_weights(m, params.r, params.c)
     return _count(weights, budget, m, params, cap)
 
@@ -154,9 +150,11 @@ def _count(weights: list[int], budget: int, m: int, params: RadiusParams, cap: i
     return total
 
 
-def _check_enumeration_args(m: int, params: RadiusParams) -> None:
+def _check_enumeration_args(m: int, params: RadiusParams, cap: int) -> None:
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"degree m must be a nonnegative integer, got {m}")
+    if not isinstance(cap, int) or cap < 0:
+        raise ValueError(f"cardinality cap must be a nonnegative integer, got {cap}")
     if params.c is None:
         raise ValueError("enumeration requires params with a norm budget c")
 

@@ -15,7 +15,6 @@ seed fixes every random draw, so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .evaluation import evaluate
@@ -25,12 +24,16 @@ from .series import LaurentSeries, RadiusParams
 from .truncations import _integer_weights
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    trials: int
-    failures: int = 0
-    examples: list[str] = field(default_factory=list)
+    """Outcome of one seeded property: trial and failure counts, first examples."""
+
+    def __init__(
+        self, name: str, trials: int, failures: int = 0, examples: list[str] | None = None
+    ):
+        self.name = name
+        self.trials = trials
+        self.failures = failures
+        self.examples = [] if examples is None else examples
 
     @property
     def passed(self) -> bool:

@@ -72,6 +72,16 @@ def test_eval_decimal_marker(tmp_path, capsys):
     assert out.splitlines() == ["157/50", "3.140 (exact)"]
 
 
+def test_eval_negative_decimal_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "series.txt"
+    path.write_text("1 1\n")
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "eval", str(path), "--decimal", "-3", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_eval_json_input_format(tmp_path, capsys):
     path = tmp_path / "series.json"
     path.write_text(json.dumps({"terms": [[0, "-1"], [1, "10"]]}))
@@ -160,6 +170,18 @@ def test_enumerate_cap_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "--m", "1", "--r", "1/2", "--c", "1", "--cap", "3")
     assert code == 4
     assert "cap" in err
+
+
+def test_negative_cap_is_usage_error(capsys):
+    flags = ("enumerate", "--m", "1", "--r", "1/2", "--c", "1")
+    for extra in ([], ["--count-only"]):
+        code, out, err = run(capsys, *flags, "--cap", "-1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cap" in err
+        code, out, _ = run(capsys, *flags, "--cap", "0", *extra)
+        assert code == 4
+        assert out == ""
 
 
 def test_deep_enumeration_hits_the_cap(capsys):

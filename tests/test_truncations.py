@@ -157,6 +157,16 @@ def test_cap_boundary_is_exact():
         count_truncations(3, p, cap=size - 1)
 
 
+def test_negative_cap_is_rejected():
+    p = params(HALF, Fraction(1))
+    for call in (count_truncations, enumerate_truncations):
+        with pytest.raises(ValueError, match="cap"):
+            call(1, p, cap=-1)
+        # a zero cap is legal; every truncation set holds the zero tuple, so it is exceeded
+        with pytest.raises(CardinalityCapError):
+            call(1, p, cap=0)
+
+
 def test_deep_truncation_sets_need_no_recursion():
     # only the last of 1,501 coordinates has room for a nonzero digit
     p = params(HALF, HALF**1500)
