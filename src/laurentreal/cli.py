@@ -69,14 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="greedy digit expansion of a rational")
     p_expand.add_argument("x", help="target rational as p/q")
     add_radius_flags(p_expand)
-    p_expand.add_argument("--max-digits", dest="max_digits", type=int, default=40)
+    p_expand.add_argument("--max-digits", dest="max_digits", type=formats.parse_int, default=40)
     p_expand.set_defaults(handler=cmd_expand)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at r_prime")
     p_eval.add_argument("file", help="series file (text format; blank file is zero)")
     add_radius_flags(p_eval)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.add_argument("--decimal", type=int, metavar="N",
+    p_eval.add_argument("--decimal", type=formats.parse_int, metavar="N",
                         help="also print N decimal digits with an exactness marker")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(handler=cmd_eval)
@@ -84,30 +84,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("kernel-check", help="test kernel membership both ways")
     p_check.add_argument("file")
     add_radius_flags(p_check)
-    p_check.add_argument("--base", type=int)
+    p_check.add_argument("--base", type=formats.parse_int)
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(handler=cmd_kernel_check)
 
     p_div = sub.add_parser("divide", help="divide a series file by 1 - base*T")
     p_div.add_argument("file")
     add_radius_flags(p_div)
-    p_div.add_argument("--base", type=int)
+    p_div.add_argument("--base", type=formats.parse_int)
     p_div.set_defaults(handler=cmd_divide)
 
     p_enum = sub.add_parser("enumerate", help="list a finite truncation set")
-    p_enum.add_argument("--m", type=int, required=True, help="truncation degree")
+    p_enum.add_argument("--m", type=formats.parse_int, required=True, help="truncation degree")
     add_radius_flags(p_enum)
     p_enum.add_argument("--c", required=True, help="norm budget as p/q")
-    p_enum.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_enum.add_argument("--cap", type=formats.parse_int, default=DEFAULT_CAP)
     p_enum.add_argument("--count-only", dest="count_only", action="store_true")
     p_enum.set_defaults(handler=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run the seeded exactness property suite")
     add_radius_flags(p_verify)
-    p_verify.add_argument("--base", type=int)
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--max-digits", dest="max_digits", type=int, default=40)
+    p_verify.add_argument("--base", type=formats.parse_int)
+    p_verify.add_argument("--trials", type=formats.parse_int, default=1000)
+    p_verify.add_argument("--seed", type=formats.parse_int, default=42)
+    p_verify.add_argument("--max-digits", dest="max_digits", type=formats.parse_int, default=40)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(handler=cmd_verify)
 

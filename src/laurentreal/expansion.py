@@ -29,9 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .series import (
-    FrozenRecord, LaurentSeries, RadiusParams, RationalLike, exact_fraction, power_sum,
-)
+from .series import FrozenRecord, LaurentSeries, RadiusParams, RationalLike, exact_fraction
 
 
 def min_exponent(x: RationalLike, r_prime: RationalLike) -> int:
@@ -82,8 +80,8 @@ def _greedy(
 ) -> tuple[list[tuple[int, int]], Fraction]:
     """Up to max_digits greedy digits of x from exponent n on, and the residual.
 
-    n must be min_exponent(x, r_prime).  Each digit is checked against the
-    defining strict inequalities before it is kept.
+    n must be min_exponent(x, r_prime).  Digits go unchecked: the inner loop
+    leaves D <= |R|, so no digit is 0, and divmod leaves |rest| < D.
     """
     u, w = r_prime.numerator, r_prime.denominator
     # R / D is the residual over r_prime**n, with D > 0
@@ -98,8 +96,6 @@ def _greedy(
         digit, rest = divmod(abs(R), D)  # truncation toward zero
         if R < 0:
             digit, rest = -digit, -rest
-        if digit == 0 or not (abs(rest) < D <= abs(R)):
-            raise ArithmeticError(f"digit {digit} fails strict descent at n={n}")
         digits.append((n, digit))
         R, D, n = rest * w, D * u, n + 1
     return digits, Fraction(R, D) * r_prime**n
@@ -132,7 +128,8 @@ class ExpansionCertificate(FrozenRecord):
       - exponents strictly increase along the digit list
       - every |a_n| < digit_bound and every n >= exponent_floor
       - |residual| < r_prime**n_last after the final digit
-      - the digit series has weighted norm at most norm_budget
+    They imply the norm bound: distinct n >= exponent_floor, |a_n| < digit_bound
+    and 0 < r < 1 give sum |a_n| * r**n <= norm_budget.  Digits may be 0.
     """
 
     _fields = ("target", "params", "digits", "residual", "exponent_floor",
@@ -158,9 +155,6 @@ class ExpansionCertificate(FrozenRecord):
             if exponent_floor is None or n < exponent_floor:
                 raise ValueError(f"exponent {n} below the uniform floor {exponent_floor}")
             previous = n
-        norm = power_sum(((n, abs(a)) for n, a in digits), r)
-        if norm > norm_budget:
-            raise ValueError(f"digit norm {norm} exceeds budget {norm_budget}")
         if digits and not abs(residual) < rp ** digits[-1][0]:
             raise ValueError("residual not below r_prime**n_last")
         self._store(

@@ -4,7 +4,7 @@ Series text format: one term per line, "<exponent> <coefficient>" in
 decimal with exponents strictly increasing; a blank file is the zero
 series.  The JSON alternative is {"terms": [[n, "a_n"], ...]} with
 coefficients as decimal strings so arbitrary precision survives JSON.
-Rationals are serialized as "p/q".
+Integers are ASCII -?[0-9]+; rationals are read as p/q or p and written "p/q".
 """
 
 from __future__ import annotations
@@ -19,12 +19,22 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def parse_int(text: str) -> int:
+    """Parse an integer written -?[0-9]+: ASCII digits, no "+", "_" or spaces."""
+    if not (isinstance(text, str) and text.removeprefix("-").isdigit() and text.isascii()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer) into an exact Fraction."""
+    """Parse -?[0-9]+(/[0-9]+)?, spaces around allowed, into an exact Fraction."""
     if not isinstance(text, str):
         raise ValueError(f"a rational must be a \"p/q\" string, got {text!r}")
+    p, slash, q = text.strip().partition("/")
+    if q.startswith("-"):
+        raise ValueError(f"not a rational: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(parse_int(p), parse_int(q) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -40,6 +50,9 @@ def parse_series_text(text: str) -> LaurentSeries:
     Lines may arrive in any exponent order (canonical output is ascending),
     but a repeated exponent is ambiguous and rejected.
     """
+    # with no "_", "+" or non-ASCII character, int() takes exactly -?[0-9]+
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError("series fields must be ASCII integers -?[0-9]+")
     terms: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -64,11 +77,9 @@ def series_to_json_dict(f: LaurentSeries) -> dict:
 
 def _json_int(value) -> int:
     # floats and bools are refused, as in the core, rather than truncated
-    if isinstance(value, str):
-        return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{value!r} is not an integer or a decimal string")
+    return parse_int(value)
 
 
 def _json_terms(entries) -> list[tuple[int, int]]:
@@ -105,9 +116,10 @@ def certificate_from_json_dict(data: dict) -> ExpansionCertificate:
 
     Checked: all five keys are present, the rationals are "p/q" strings,
     the digits are integer pairs, the ExpansionCertificate invariants hold
-    against the exponent floor of x (ordered exponents, digit, floor and
-    norm bounds, residual bound), and x equals the digit series' value at
-    r_prime plus the residual, so altered digits or residuals are rejected.
+    against the exponent floor of x (strictly increasing exponents, digit
+    bound, floor, residual bound; the norm bound follows from these), and x
+    equals the digit series' value at r_prime plus the residual, so altered
+    digits or residuals are rejected.
     """
     if not isinstance(data, dict):
         raise ValueError("certificate JSON must be an object")

@@ -69,7 +69,7 @@ def inverse_truncation(gen: KernelGenerator, N: int) -> LaurentSeries:
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError(f"truncation order must be a nonnegative integer, got {N}")
-    return LaurentSeries({k: gen.sign * gen.base**k for k in range(N + 1)})
+    return LaurentSeries._trusted({k: gen.sign * gen.base**k for k in range(N + 1)})
 
 
 def divide(g: LaurentSeries, gen: KernelGenerator) -> LaurentSeries:
@@ -102,9 +102,10 @@ def divide(g: LaurentSeries, gen: KernelGenerator) -> LaurentSeries:
             k = support[bisect_right(support, k)]
     # the recurrence at the top exponent yields sign * remainder
     left = sign * g.coefficient(top) + base * carry
+    h = LaurentSeries._trusted(quotient)
     if left:
-        raise NotDivisibleError(LaurentSeries.term(sign * left, top), LaurentSeries(quotient))
-    return LaurentSeries(quotient)
+        raise NotDivisibleError(LaurentSeries.term(sign * left, top), h)
+    return h
 
 
 def in_kernel(g: LaurentSeries, params: RadiusParams) -> bool:

@@ -85,6 +85,13 @@ class LaurentSeries:
         self._coeffs = store
 
     @classmethod
+    def _trusted(cls, store: dict[int, int]) -> LaurentSeries:
+        """Wrap a library-built dict of int exponents to nonzero ints, unchecked."""
+        out = object.__new__(cls)
+        out._coeffs = store
+        return out
+
+    @classmethod
     def term(cls, coefficient: int, exponent: int = 0) -> LaurentSeries:
         """The single-term series coefficient * T**exponent."""
         return cls({exponent: coefficient})
@@ -124,9 +131,7 @@ class LaurentSeries:
         return hash(frozenset(self._coeffs.items()))
 
     def __neg__(self) -> LaurentSeries:
-        out = LaurentSeries()
-        out._coeffs = {n: -a for n, a in self._coeffs.items()}
-        return out
+        return LaurentSeries._trusted({n: -a for n, a in self._coeffs.items()})
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         if not isinstance(other, LaurentSeries):
@@ -138,9 +143,7 @@ class LaurentSeries:
                 merged[n] = s
             elif n in merged:
                 del merged[n]
-        out = LaurentSeries()
-        out._coeffs = merged
-        return out
+        return LaurentSeries._trusted(merged)
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         if not isinstance(other, LaurentSeries):
@@ -160,9 +163,7 @@ class LaurentSeries:
                     acc[k] = s
                 elif k in acc:
                     del acc[k]
-        out = LaurentSeries()
-        out._coeffs = acc
-        return out
+        return LaurentSeries._trusted(acc)
 
     def __pow__(self, exponent: int) -> LaurentSeries:
         if not isinstance(exponent, int) or exponent < 0:
@@ -185,9 +186,7 @@ class LaurentSeries:
         """
         if not isinstance(k, int) or isinstance(k, bool):
             raise TypeError("shift amount must be an integer")
-        out = LaurentSeries()
-        out._coeffs = {n + k: a for n, a in self._coeffs.items()}
-        return out
+        return LaurentSeries._trusted({n + k: a for n, a in self._coeffs.items()})
 
     def r_norm(self, r: RationalLike) -> Fraction:
         """Weighted coefficient norm: sum of |a_n| * r**n, exact.

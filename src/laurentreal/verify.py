@@ -64,7 +64,7 @@ def random_series(
     coeffs: dict[int, int] = {}
     for _ in range(rng.randint(0, max_terms)):
         coeffs[rng.randint(min_exp, max_exp)] = rng.randint(-max_coeff, max_coeff)
-    return LaurentSeries(coeffs)
+    return LaurentSeries._trusted({n: a for n, a in coeffs.items() if a})
 
 
 def random_nonzero_series(rng: random.Random, **kwargs) -> LaurentSeries:
@@ -96,7 +96,7 @@ def random_budgeted_series(
             if d:
                 coeffs[n] = d
                 remaining -= abs(d) * weight
-    return LaurentSeries(coeffs)
+    return LaurentSeries._trusted(coeffs)
 
 
 def random_rational(rng: random.Random, magnitude: int = 10**6) -> Fraction:

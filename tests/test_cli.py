@@ -4,8 +4,10 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from laurentreal import formats
-from laurentreal.cli import main
+from laurentreal.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -248,3 +250,67 @@ def test_expand_pipes_into_eval(tmp_path, capsys):
         assert code == 0
         value = formats.parse_rational(out.strip())
         assert value == x - formats.parse_rational(cert["residual"])
+
+
+def test_series_file_integers_follow_the_grammar(tmp_path, capsys):
+    path = tmp_path / "series.txt"
+    for text in ("0 1_000\n", "1 ٣\n", "2 +5\n", "0 1_000\n1 ٣\n2 +5\n"):
+        path.write_text(text, encoding="utf-8")
+        for command in ("eval", "kernel-check", "divide"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+
+def test_json_series_integers_follow_the_grammar(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    for field in ("+1", " 2 ", "1_0"):
+        path.write_text(json.dumps({"terms": [[0, field]]}))
+        code, out, err = run(capsys, "eval", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+INTEGER_FLAGS = [
+    ("expand", "1/3", "--max-digits"),
+    ("eval", "FILE", "--decimal"),
+    ("kernel-check", "FILE", "--base"),
+    ("divide", "FILE", "--base"),
+    ("enumerate", "--c", "1", "--m"),
+    ("enumerate", "--m", "1", "--c", "1", "--cap"),
+    ("verify", "--base"),
+    ("verify", "--trials"),
+    ("verify", "--seed"),
+    ("verify", "--max-digits"),
+]
+
+
+@pytest.mark.parametrize("head", INTEGER_FLAGS, ids=lambda head: " ".join(head))
+def test_integer_flags_follow_the_grammar(head, tmp_path, capsys):
+    path = tmp_path / "series.txt"
+    path.write_text("0 1\n")
+    argv = [str(path) if arg == "FILE" else arg for arg in head]
+    dest = head[-1].lstrip("-").replace("-", "_")
+    assert getattr(build_parser().parse_args([*argv, "10"]), dest) == 10
+    for value in ("1_0", "+10", " 10", "١٠"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("expand", "1.5"), ("expand", "1e-5"), ("expand", "1e-10000000"),
+     ("expand", "1/3", "--r", "0.5"), ("expand", "1/3", "--r-prime", "0.1"),
+     ("enumerate", "--m", "1", "--c", "1.5"),
+     ("enumerate", "--m", "2", "--c", "1_0", "--count-only")],
+    ids=" ".join,
+)
+def test_loose_rationals_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not a rational" in err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laurentreal import (
     LaurentSeries,
@@ -16,6 +17,7 @@ from laurentreal import (
     series_of,
 )
 from laurentreal.expansion import ExpansionCertificate
+from laurentreal.series import power_sum
 
 from conftest import nonzero_rationals, rationals
 
@@ -172,6 +174,39 @@ def test_digit_bound_and_uniform_floor(x):
 def test_norm_budget_bounds_digit_series(x):
     cert = expand(x, PARAMS, 25)
     assert series_of(cert).r_norm(PARAMS.r) <= cert.norm_budget
+
+
+OPEN_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda q: 0 < q < 1)
+
+
+@st.composite
+def hand_built_certificates(draw):
+    """(params, digits, floor): any digits the invariants admit, not only greedy ones."""
+    r_prime = draw(st.one_of(
+        st.sampled_from([Fraction(1, 10), Fraction(2, 7), Fraction(3, 10), Fraction(9, 10)]),
+        OPEN_UNIT,
+    ))
+    r = r_prime + (1 - r_prime) * draw(OPEN_UNIT)
+    u, w = r_prime.numerator, r_prime.denominator
+    largest = (u + w - 1) // u  # the largest |a| with u*|a| < u + w
+    floor = draw(st.integers(-40, 40))
+    offsets = sorted(draw(st.sets(st.integers(0, 40), max_size=15)))
+    digits = tuple((floor + k, draw(st.integers(-largest, largest))) for k in offsets)
+    return RadiusParams(r, r_prime), digits, floor
+
+
+@settings(max_examples=300)
+@given(case=hand_built_certificates())
+def test_digit_floor_and_radius_bounds_imply_the_norm_budget(case):
+    params, digits, floor = case
+    cert = ExpansionCertificate(
+        target=power_sum(digits, params.r_prime),
+        params=params,
+        digits=digits,
+        residual=Fraction(0),
+        exponent_floor=floor,
+    )
+    assert power_sum(((n, abs(a)) for n, a in digits), params.r) < cert.norm_budget
 
 
 @given(x=rationals)

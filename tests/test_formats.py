@@ -162,3 +162,53 @@ def test_format_decimal_exact_and_truncated():
     assert formats.format_decimal(Fraction(1, 3), 4) == ("0.3333", False)
     assert formats.format_decimal(Fraction(-1, 8), 3) == ("-0.125", True)
     assert formats.format_decimal(Fraction(5), 0) == ("5", True)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("007", 7), ("-12", -12)])
+def test_parse_int_accepts_ascii_decimal(text, value):
+    assert formats.parse_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "--1", "+1", " 2 ", "2 ", "1_0", "٣", "²", "1.0", "0x1", "1e3"]
+)
+def test_parse_int_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        formats.parse_int(text)
+
+
+@pytest.mark.parametrize("field", ["+1", " 2 ", "1_0", "٣"])
+def test_series_json_rejects_loose_integer_strings(field):
+    with pytest.raises(ValueError):
+        formats.series_from_json_dict({"terms": [[0, field]]})
+    with pytest.raises(ValueError):
+        formats.series_from_json_dict({"terms": [[field, 1]]})
+
+
+@pytest.mark.parametrize("text", ["0 1_000\n", "1 ٣\n", "2 +5\n", "0 1\n1 1_0\n"])
+def test_series_text_rejects_loose_integers(text):
+    with pytest.raises(ValueError):
+        formats.parse_series_text(text)
+
+
+@pytest.mark.parametrize("text, value", [("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+                                         ("\t0/1\n", Fraction(0)), ("-0", Fraction(0))])
+def test_rational_grammar_accepts(text, value):
+    assert formats.parse_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.5", "0.5", ".5", "1e-5", "1e-10000000", "+1/2", "1/-2", "1/+2", "1_0/3", "1/ 2",
+     "1 /2", "1/", "/2", "1/2/3", "٣/4", "-", ""],
+)
+def test_rational_grammar_rejects(text):
+    with pytest.raises(ValueError):
+        formats.parse_rational(text)
+
+
+def test_certificate_digits_follow_the_integer_grammar():
+    data = formats.certificate_to_json_dict(expand(Fraction(1, 3), PARAMS, 3))
+    data["digits"] = [[n, f"+{a}"] for n, a in data["digits"]]
+    with pytest.raises(ValueError):
+        formats.certificate_from_json_dict(data)

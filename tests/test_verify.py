@@ -10,6 +10,7 @@ from laurentreal.verify import (
     PropertyResult,
     random_budgeted_series,
     random_nonzero_series,
+    random_series,
     run_exactness_suite,
 )
 
@@ -89,5 +90,25 @@ def test_random_budgeted_series_matches_fraction_reference(r, budget, min_exp, m
         rng, reference_rng = random.Random(seed), random.Random(seed)
         got = random_budgeted_series(rng, r, budget, min_exp, max_exp)
         want = fraction_random_budgeted_series(reference_rng, r, budget, min_exp, max_exp)
+        assert got == want
+        assert rng.getstate() == reference_rng.getstate()
+
+
+def reference_random_series(rng, min_exp=-4, max_exp=8, max_coeff=50, max_terms=6):
+    """The draws of random_series, canonicalized by the checked constructor."""
+    coeffs = {}
+    for _ in range(rng.randint(0, max_terms)):
+        coeffs[rng.randint(min_exp, max_exp)] = rng.randint(-max_coeff, max_coeff)
+    return LaurentSeries(coeffs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"min_exp": 0, "max_exp": 2, "max_coeff": 1, "max_terms": 10}]
+)
+def test_random_series_matches_reference(kwargs):
+    for seed in range(100):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        got = random_series(rng, **kwargs)
+        want = reference_random_series(reference_rng, **kwargs)
         assert got == want
         assert rng.getstate() == reference_rng.getstate()
