@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import formats
 from .evaluation import evaluate
 from .expansion import expand
-from .kernel import KernelGenerator, NotDivisibleError, divide, in_kernel
+from .kernel import NotDivisibleError, divide, generator_at, in_kernel
 from .series import RadiusParams
 from .truncations import CardinalityCapError, DEFAULT_CAP, count_truncations, enumerate_truncations
 from .verify import run_exactness_suite
@@ -27,8 +27,8 @@ EXIT_CAP_EXCEEDED = 4
 EXIT_PROPERTY_FAILURE = 5
 
 
-def radius_args(args: argparse.Namespace) -> tuple[RadiusParams, int]:
-    """The radius parameters and the kernel base that the flags select."""
+def radius_args(args: argparse.Namespace) -> RadiusParams:
+    """The radius parameters that the flags select; --base b is --r-prime 1/b."""
     r = formats.parse_rational(getattr(args, "r", None) or "1/2")
     r_prime_arg = getattr(args, "r_prime", None)
     base = getattr(args, "base", None)
@@ -44,11 +44,14 @@ def radius_args(args: argparse.Namespace) -> tuple[RadiusParams, int]:
         r_prime = r / 10
     if base is not None and r_prime != Fraction(1, base):
         raise ValueError(f"--base {base} inconsistent with --r-prime {r_prime}")
-    if base is None:
-        base = r_prime.denominator if r_prime.numerator == 1 else 10
     c_arg = getattr(args, "c", None)
     c = formats.parse_rational(c_arg) if c_arg is not None else None
-    return RadiusParams(r, r_prime, c), base
+    return RadiusParams(r, r_prime, c)
+
+
+def integer(text: str) -> int:
+    """The type of the integer flags; argparse names it in its error message."""
+    return formats.parse_int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,14 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="greedy digit expansion of a rational")
     p_expand.add_argument("x", help="target rational as p/q")
     add_radius_flags(p_expand)
-    p_expand.add_argument("--max-digits", dest="max_digits", type=formats.parse_int, default=40)
+    p_expand.add_argument("--max-digits", dest="max_digits", type=integer, default=40)
     p_expand.set_defaults(handler=cmd_expand)
 
     p_eval = sub.add_parser("eval", help="evaluate a series file at r_prime")
     p_eval.add_argument("file", help="series file (text format; blank file is zero)")
     add_radius_flags(p_eval)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
-    p_eval.add_argument("--decimal", type=formats.parse_int, metavar="N",
+    p_eval.add_argument("--decimal", type=integer, metavar="N",
                         help="also print N decimal digits with an exactness marker")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(handler=cmd_eval)
@@ -84,30 +87,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("kernel-check", help="test kernel membership both ways")
     p_check.add_argument("file")
     add_radius_flags(p_check)
-    p_check.add_argument("--base", type=formats.parse_int)
+    p_check.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(handler=cmd_kernel_check)
 
     p_div = sub.add_parser("divide", help="divide a series file by 1 - base*T")
     p_div.add_argument("file")
     add_radius_flags(p_div)
-    p_div.add_argument("--base", type=formats.parse_int)
+    p_div.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
     p_div.set_defaults(handler=cmd_divide)
 
     p_enum = sub.add_parser("enumerate", help="list a finite truncation set")
-    p_enum.add_argument("--m", type=formats.parse_int, required=True, help="truncation degree")
+    p_enum.add_argument("--m", type=integer, required=True, help="truncation degree")
     add_radius_flags(p_enum)
     p_enum.add_argument("--c", required=True, help="norm budget as p/q")
-    p_enum.add_argument("--cap", type=formats.parse_int, default=DEFAULT_CAP)
+    p_enum.add_argument("--cap", type=integer, default=DEFAULT_CAP)
     p_enum.add_argument("--count-only", dest="count_only", action="store_true")
     p_enum.set_defaults(handler=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run the seeded exactness property suite")
     add_radius_flags(p_verify)
-    p_verify.add_argument("--base", type=formats.parse_int)
-    p_verify.add_argument("--trials", type=formats.parse_int, default=1000)
-    p_verify.add_argument("--seed", type=formats.parse_int, default=42)
-    p_verify.add_argument("--max-digits", dest="max_digits", type=formats.parse_int, default=40)
+    p_verify.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
+    p_verify.add_argument("--trials", type=integer, default=1000)
+    p_verify.add_argument("--seed", type=integer, default=42)
+    p_verify.add_argument("--max-digits", dest="max_digits", type=integer, default=40)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -118,18 +121,22 @@ def _load_series(path: str, fmt: str = "text"):
     with open(path) as handle:
         text = handle.read()
     if fmt == "json":
-        return formats.series_from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("series JSON is nested too deeply") from None
+        return formats.series_from_json_dict(data)
     return formats.parse_series_text(text)
 
 
-def cmd_expand(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_expand(args: argparse.Namespace, params: RadiusParams) -> int:
     x = formats.parse_rational(args.x)
     cert = expand(x, params, args.max_digits)
     print(json.dumps(formats.certificate_to_json_dict(cert), sort_keys=True))
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_eval(args: argparse.Namespace, params: RadiusParams) -> int:
     series = _load_series(args.file, args.format)
     value = evaluate(series, params)
     # built in full before printing, so a bad --decimal leaves stdout empty
@@ -145,9 +152,9 @@ def cmd_eval(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
     return EXIT_OK
 
 
-def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams) -> int:
     series = _load_series(args.file)
-    gen = KernelGenerator(base)
+    gen = generator_at(params.r_prime)
     member = in_kernel(series, params)
     try:
         quotient = divide(series, gen)
@@ -159,7 +166,7 @@ def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams, base: int) 
         }
     agree = member == division["divisible"]
     report = {
-        "base": base,
+        "base": gen.base,
         "evaluates_to_zero": member,
         "division": division,
         "routes_agree": agree,
@@ -167,26 +174,26 @@ def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams, base: int) 
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
-        print(f"evaluates to zero at 1/{base}: {member}")
-        print(f"divisible by 1 - {base}*T: {division['divisible']}")
+        print(f"evaluates to zero at 1/{gen.base}: {member}")
+        print(f"divisible by 1 - {gen.base}*T: {division['divisible']}")
         print(f"routes agree: {agree}")
     return EXIT_OK if agree else EXIT_PROPERTY_FAILURE
 
 
-def cmd_divide(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_divide(args: argparse.Namespace, params: RadiusParams) -> int:
     series = _load_series(args.file)
-    gen = KernelGenerator(base)
+    gen = generator_at(params.r_prime)
     try:
         quotient = divide(series, gen)
     except NotDivisibleError as exc:
-        print(f"not divisible by 1 - {base}*T; remainder follows", file=sys.stderr)
+        print(f"not divisible by 1 - {gen.base}*T; remainder follows", file=sys.stderr)
         sys.stdout.write(formats.format_series_text(exc.remainder))
         return EXIT_NOT_DIVISIBLE
     sys.stdout.write(formats.format_series_text(quotient))
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_enumerate(args: argparse.Namespace, params: RadiusParams) -> int:
     if args.count_only:
         print(count_truncations(args.m, params, args.cap))
         return EXIT_OK
@@ -196,7 +203,7 @@ def cmd_enumerate(args: argparse.Namespace, params: RadiusParams, base: int) -> 
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, params: RadiusParams, base: int) -> int:
+def cmd_verify(args: argparse.Namespace, params: RadiusParams) -> int:
     results = run_exactness_suite(
         params,
         trials=args.trials,
@@ -209,7 +216,7 @@ def cmd_verify(args: argparse.Namespace, params: RadiusParams, base: int) -> int
             "trials": args.trials,
             "r": formats.format_rational(params.r),
             "r_prime": formats.format_rational(params.r_prime),
-            "base": base,
+            "base": generator_at(params.r_prime).base,
             "properties": [r.to_dict() for r in results],
             "passed": all(r.passed for r in results),
         }
@@ -225,11 +232,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, *radius_args(args))
+        return args.handler(args, radius_args(args))
     except CardinalityCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -97,7 +97,12 @@ def _json_terms(entries) -> list[tuple[int, int]]:
 def series_from_json_dict(data: dict) -> LaurentSeries:
     if not isinstance(data, dict) or "terms" not in data:
         raise ValueError("series JSON must be an object with a 'terms' array")
-    return LaurentSeries(_json_terms(data["terms"]))
+    terms: dict[int, int] = {}
+    for exponent, coefficient in _json_terms(data["terms"]):
+        if exponent in terms:
+            raise ValueError(f"duplicate exponent {exponent} in series JSON")
+        terms[exponent] = coefficient
+    return LaurentSeries(terms)
 
 
 def certificate_to_json_dict(cert: ExpansionCertificate) -> dict:

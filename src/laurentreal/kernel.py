@@ -46,10 +46,6 @@ class KernelGenerator(FrozenRecord):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         self._store(base=base, sign=sign, poly=LaurentSeries({0: sign, 1: -sign * base}))
 
-    @property
-    def r_prime(self) -> Fraction:
-        return Fraction(1, self.base)
-
     def flipped(self) -> KernelGenerator:
         """The same ideal's generator with the opposite sign convention."""
         return KernelGenerator(self.base, -self.sign)
@@ -58,6 +54,13 @@ class KernelGenerator(FrozenRecord):
 def generator(b: int) -> KernelGenerator:
     """The sign-normalized kernel generator 1 - b*T for base b >= 2."""
     return KernelGenerator(b)
+
+
+def generator_at(r_prime: Fraction) -> KernelGenerator:
+    """The generator 1 - b*T of the kernel at r_prime = 1/b; other points raise ValueError."""
+    if r_prime.numerator != 1:
+        raise ValueError(f"kernel support is restricted to r_prime = 1/b, got {r_prime}")
+    return KernelGenerator(r_prime.denominator)
 
 
 def inverse_truncation(gen: KernelGenerator, N: int) -> LaurentSeries:
@@ -109,9 +112,6 @@ def divide(g: LaurentSeries, gen: KernelGenerator) -> LaurentSeries:
 
 
 def in_kernel(g: LaurentSeries, params: RadiusParams) -> bool:
-    """Whether g evaluates to zero at r_prime (which must be 1/b, b >= 2)."""
-    if params.r_prime.numerator != 1:
-        raise ValueError(
-            f"kernel support is restricted to r_prime = 1/b, got {params.r_prime}"
-        )
+    """Whether g evaluates to zero at params.r_prime; raises ValueError unless it is 1/b."""
+    generator_at(params.r_prime)
     return evaluate(g, params) == 0

@@ -310,7 +310,3 @@ def in_budget(f: LaurentSeries, params: RadiusParams) -> bool:
     if params.c is None:
         raise ValueError("in_budget requires params with a norm budget c")
     return f.r_norm(params.r) <= params.c
-
-
-ZERO = LaurentSeries.zero()
-ONE = LaurentSeries.one()

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .evaluation import evaluate
 from .expansion import expand, series_of
-from .kernel import KernelGenerator, NotDivisibleError, divide, generator
+from .kernel import KernelGenerator, NotDivisibleError, divide, generator_at
 from .series import LaurentSeries, RadiusParams
 from .truncations import _integer_weights
 
@@ -109,12 +109,10 @@ def run_exactness_suite(
     seed: int = 42,
     max_digits: int = 40,
 ) -> list[PropertyResult]:
-    """Run the four exactness properties; r_prime must be 1/b for the generator."""
+    """Run the four exactness properties; trials < 1 or r_prime != 1/b raise ValueError."""
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    if params.r_prime.numerator != 1:
-        raise ValueError(f"exactness suite needs r_prime = 1/b, got {params.r_prime}")
-    gen = generator(params.r_prime.denominator)
+    gen = generator_at(params.r_prime)
     return [
         check_multiplication_injective(gen, trials, seed),
         check_multiples_evaluate_to_zero(gen, params, trials, seed),

@@ -314,3 +314,35 @@ def test_loose_rationals_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "not a rational" in err
+
+
+# Each hostile input exits 2 with an "error:" line, empty stdout and no
+# traceback.  r_prime = 2/7 has no kernel generator, so divide,
+# kernel-check and verify must refuse it rather than pick a base.
+HOSTILE_INPUTS = {
+    "divide quotient at 2/7": (["divide", "FILE", "--r-prime", "2/7"], "0 -1\n1 10\n"),
+    "divide zero at 2/7": (["divide", "FILE", "--r-prime", "2/7"], "0 2\n1 -7\n"),
+    "kernel-check at 2/7": (["kernel-check", "FILE", "--r-prime", "2/7"], "0 2\n1 -7\n"),
+    "verify at 2/7": (["verify", "--r-prime", "2/7", "--trials", "1"], None),
+    "json duplicate exponent": (
+        ["eval", "FILE", "--format", "json"], json.dumps({"terms": [[0, "1"], [0, "-1"]]})),
+    "json nested 100000 deep": (["eval", "FILE", "--format", "json"], "[" * 100_000 + "]" * 100_000),
+    "base 1_0": (["verify", "--base", "1_0"], None),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_INPUTS)
+def test_hostile_inputs_are_usage_errors(case, tmp_path, capsys):
+    argv, content = HOSTILE_INPUTS[case]
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    try:
+        code = main([str(path) if arg == "FILE" else arg for arg in argv])
+    except SystemExit as exc:  # argparse rejects a flag value before main's handlers
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert any(line.startswith("error:") or ": error: " in line for line in err.splitlines())
+    assert "Traceback" not in err and "parse_int" not in err
