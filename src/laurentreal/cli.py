@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import formats
 from .evaluation import evaluate
 from .expansion import expand
-from .kernel import NotDivisibleError, divide, generator_at, in_kernel
+from .kernel import NotDivisibleError, divide, generator_at
 from .series import RadiusParams
 from .truncations import CardinalityCapError, DEFAULT_CAP, count_truncations, enumerate_truncations
 from .verify import run_exactness_suite
@@ -27,26 +27,16 @@ EXIT_CAP_EXCEEDED = 4
 EXIT_PROPERTY_FAILURE = 5
 
 
-def radius_args(args: argparse.Namespace) -> RadiusParams:
-    """The radius parameters that the flags select; --base b is --r-prime 1/b."""
-    r = formats.parse_rational(getattr(args, "r", None) or "1/2")
-    r_prime_arg = getattr(args, "r_prime", None)
-    base = getattr(args, "base", None)
+def r_prime_arg(text: str | None, base: int | None = None) -> Fraction:
+    """The evaluation point that --r-prime or --base b (r' = 1/b) selects; default 1/10."""
     if base is not None and base < 2:
         raise ValueError(f"--base must be an integer >= 2, got {base}")
-    if r_prime_arg is not None:
-        r_prime = formats.parse_rational(r_prime_arg)
-    elif base is not None:
-        r_prime = Fraction(1, base)
-    elif r > Fraction(1, 10):
-        r_prime = Fraction(1, 10)
-    else:
-        r_prime = r / 10
+    if text is None:
+        return Fraction(1, 10 if base is None else base)
+    r_prime = formats.parse_rational(text)
     if base is not None and r_prime != Fraction(1, base):
         raise ValueError(f"--base {base} inconsistent with --r-prime {r_prime}")
-    c_arg = getattr(args, "c", None)
-    c = formats.parse_rational(c_arg) if c_arg is not None else None
-    return RadiusParams(r, r_prime, c)
+    return r_prime
 
 
 def integer(text: str) -> int:
@@ -55,59 +45,60 @@ def integer(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as --r must not silently stand for --r-prime
     parser = argparse.ArgumentParser(
         prog="laurentreal",
         description="Exact arithmetic for norm-bounded integral Laurent series.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_radius_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r", help="outer radius as p/q (default 1/2)")
-        p.add_argument(
-            "--r-prime",
-            dest="r_prime",
-            help="evaluation point as p/q (default 1/10, or r/10 when r <= 1/10)",
-        )
+    def add_command(name: str, summary: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
 
-    p_expand = sub.add_parser("expand", help="greedy digit expansion of a rational")
+    def add_r(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--r", default="1/2", help="norm radius as p/q (default 1/2)")
+
+    def add_r_prime(p: argparse.ArgumentParser, base: bool) -> None:
+        p.add_argument("--r-prime", dest="r_prime", help="evaluation point as p/q (default 1/10)")
+        if base:
+            p.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
+
+    p_expand = add_command("expand", "greedy digit expansion of a rational", cmd_expand)
     p_expand.add_argument("x", help="target rational as p/q")
-    add_radius_flags(p_expand)
+    add_r(p_expand)
+    add_r_prime(p_expand, base=False)
     p_expand.add_argument("--max-digits", dest="max_digits", type=integer, default=40)
-    p_expand.set_defaults(handler=cmd_expand)
 
-    p_eval = sub.add_parser("eval", help="evaluate a series file at r_prime")
+    p_eval = add_command("eval", "evaluate a series file at r_prime", cmd_eval)
     p_eval.add_argument("file", help="series file (text format; blank file is zero)")
-    add_radius_flags(p_eval)
+    add_r_prime(p_eval, base=False)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.add_argument("--decimal", type=integer, metavar="N",
                         help="also print N decimal digits with an exactness marker")
     p_eval.add_argument("--json", action="store_true")
-    p_eval.set_defaults(handler=cmd_eval)
 
-    p_check = sub.add_parser("kernel-check", help="test kernel membership both ways")
+    p_check = add_command("kernel-check", "test kernel membership both ways", cmd_kernel_check)
     p_check.add_argument("file")
-    add_radius_flags(p_check)
-    p_check.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
+    add_r_prime(p_check, base=True)
     p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(handler=cmd_kernel_check)
 
-    p_div = sub.add_parser("divide", help="divide a series file by 1 - base*T")
+    p_div = add_command("divide", "divide a series file by 1 - base*T", cmd_divide)
     p_div.add_argument("file")
-    add_radius_flags(p_div)
-    p_div.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
-    p_div.set_defaults(handler=cmd_divide)
+    add_r_prime(p_div, base=True)
 
-    p_enum = sub.add_parser("enumerate", help="list a finite truncation set")
+    p_enum = add_command("enumerate", "list a finite truncation set", cmd_enumerate)
     p_enum.add_argument("--m", type=integer, required=True, help="truncation degree")
-    add_radius_flags(p_enum)
+    add_r(p_enum)
     p_enum.add_argument("--c", required=True, help="norm budget as p/q")
     p_enum.add_argument("--cap", type=integer, default=DEFAULT_CAP)
     p_enum.add_argument("--count-only", dest="count_only", action="store_true")
-    p_enum.set_defaults(handler=cmd_enumerate)
 
-    p_verify = sub.add_parser("verify", help="run the seeded exactness property suite")
-    add_radius_flags(p_verify)
-    p_verify.add_argument("--base", type=integer, help="shorthand for --r-prime 1/base")
+    p_verify = add_command("verify", "run the seeded exactness property suite", cmd_verify)
+    add_r(p_verify)
+    add_r_prime(p_verify, base=True)
     p_verify.add_argument("--trials", type=integer, default=1000)
     p_verify.add_argument("--seed", type=integer, default=42)
     p_verify.add_argument("--max-digits", dest="max_digits", type=integer, default=40)
@@ -129,16 +120,18 @@ def _load_series(path: str, fmt: str = "text"):
     return formats.parse_series_text(text)
 
 
-def cmd_expand(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_expand(args: argparse.Namespace) -> int:
+    params = RadiusParams(formats.parse_rational(args.r), r_prime_arg(args.r_prime))
     x = formats.parse_rational(args.x)
     cert = expand(x, params, args.max_digits)
     print(json.dumps(formats.certificate_to_json_dict(cert), sort_keys=True))
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
+    r_prime = r_prime_arg(args.r_prime)
     series = _load_series(args.file, args.format)
-    value = evaluate(series, params)
+    value = evaluate(series, r_prime)
     # built in full before printing, so a bad --decimal leaves stdout empty
     report = {"value": formats.format_rational(value)}
     if args.decimal is not None:
@@ -152,10 +145,11 @@ def cmd_eval(args: argparse.Namespace, params: RadiusParams) -> int:
     return EXIT_OK
 
 
-def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_kernel_check(args: argparse.Namespace) -> int:
+    r_prime = r_prime_arg(args.r_prime, args.base)
+    gen = generator_at(r_prime)
     series = _load_series(args.file)
-    gen = generator_at(params.r_prime)
-    member = in_kernel(series, params)
+    member = evaluate(series, r_prime) == 0
     try:
         quotient = divide(series, gen)
         division = {"divisible": True, "quotient": formats.series_to_json_dict(quotient)}
@@ -180,9 +174,9 @@ def cmd_kernel_check(args: argparse.Namespace, params: RadiusParams) -> int:
     return EXIT_OK if agree else EXIT_PROPERTY_FAILURE
 
 
-def cmd_divide(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_divide(args: argparse.Namespace) -> int:
+    gen = generator_at(r_prime_arg(args.r_prime, args.base))
     series = _load_series(args.file)
-    gen = generator_at(params.r_prime)
     try:
         quotient = divide(series, gen)
     except NotDivisibleError as exc:
@@ -193,7 +187,10 @@ def cmd_divide(args: argparse.Namespace, params: RadiusParams) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    r = formats.parse_rational(args.r)
+    # enumeration never reads r_prime; r / 2 only fills RadiusParams' slot below r
+    params = RadiusParams(r, r / 2, formats.parse_rational(args.c))
     if args.count_only:
         print(count_truncations(args.m, params, args.cap))
         return EXIT_OK
@@ -203,7 +200,8 @@ def cmd_enumerate(args: argparse.Namespace, params: RadiusParams) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, params: RadiusParams) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    params = RadiusParams(formats.parse_rational(args.r), r_prime_arg(args.r_prime, args.base))
     results = run_exactness_suite(
         params,
         trials=args.trials,
@@ -232,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, radius_args(args))
+        return args.handler(args)
     except CardinalityCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -166,7 +166,7 @@ class LaurentSeries:
         return LaurentSeries._trusted(acc)
 
     def __pow__(self, exponent: int) -> LaurentSeries:
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("series powers must be nonnegative integers")
         result = LaurentSeries.one()
         base = self

@@ -157,6 +157,11 @@ def _check_enumeration_args(m: int, params: RadiusParams, cap: int) -> None:
         raise ValueError(f"cardinality cap must be a nonnegative integer, got {cap}")
     if params.c is None:
         raise ValueError("enumeration requires params with a norm budget c")
+    # the 2*floor(c * r**-m) + 1 tuples (0, ..., 0, d) are all in the set;
+    # checking them first keeps a huge m from building O(m**2) bits of weights
+    r, c = params.r, params.c
+    if 2 * (c.numerator * r.denominator**m // (c.denominator * r.numerator**m)) + 1 > cap:
+        raise CardinalityCapError(m, params, cap)
 
 
 def restrict(truncations: TruncationSet) -> TruncationSet:

@@ -346,3 +346,53 @@ def test_hostile_inputs_are_usage_errors(case, tmp_path, capsys):
     assert out == ""
     assert any(line.startswith("error:") or ": error: " in line for line in err.splitlines())
     assert "Traceback" not in err and "parse_int" not in err
+
+
+# Each command reads only the radii of its computation, so a radius flag it
+# does not read is an unknown argument, and so is an abbreviated flag.  The
+# series file holds 1 - 2T.
+RADIUS_FLAGS = {
+    "divide at base 2": (["divide", "FILE", "--base", "2"], 0, "0 1\n"),
+    "kernel-check at base 2": (
+        ["kernel-check", "FILE", "--base", "2"], 0,
+        "evaluates to zero at 1/2: True\ndivisible by 1 - 2*T: True\nroutes agree: True\n"),
+    "eval at 3/4": (["eval", "FILE", "--r-prime", "3/4"], 0, "-1/2\n"),
+    "eval with --r": (["eval", "FILE", "--r", "1/20"], 2, ""),
+    "kernel-check with --r": (["kernel-check", "FILE", "--r", "3/4", "--base", "2"], 2, ""),
+    "divide with --r": (["divide", "FILE", "--r", "3/4"], 2, ""),
+    "enumerate with --r-prime": (
+        ["enumerate", "--m", "1", "--r", "1/2", "--c", "1", "--r-prime", "1/10"], 2, ""),
+    "enumerate with --count": (
+        ["enumerate", "--m", "1", "--r", "1/2", "--c", "1", "--count"], 2, ""),
+}
+
+
+@pytest.mark.parametrize("case", RADIUS_FLAGS)
+def test_commands_take_only_the_radii_they_read(case, tmp_path, capsys):
+    argv, expected_code, expected_out = RADIUS_FLAGS[case]
+    path = tmp_path / "series.txt"
+    path.write_text("0 1\n1 -2\n")
+    try:
+        code = main([str(path) if arg == "FILE" else arg for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (expected_code, expected_out)
+    if expected_code == 2:
+        assert "unrecognized arguments" in err
+
+
+def test_option_strings_of_each_command():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+        for name, p in subparsers.choices.items()
+    }
+    assert options == {
+        "expand": ["--r", "--r-prime", "--max-digits"],
+        "eval": ["--r-prime", "--format", "--decimal", "--json"],
+        "kernel-check": ["--r-prime", "--base", "--json"],
+        "divide": ["--r-prime", "--base"],
+        "enumerate": ["--m", "--r", "--c", "--cap", "--count-only"],
+        "verify": ["--r", "--r-prime", "--base", "--trials", "--seed", "--max-digits", "--json"],
+    }

@@ -107,6 +107,14 @@ def test_no_zero_divisors(f, g):
     assert f * g
 
 
+def test_pow_rejects_bool_exponents():
+    # True is an int to isinstance, but shift(True) already raises
+    f = LaurentSeries({0: 1, 1: -2})
+    for exponent in (True, False):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            f ** exponent
+
+
 # --- shift
 
 

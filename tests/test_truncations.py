@@ -1,6 +1,7 @@
 """Finite truncation sets, restriction maps, and budget normalization."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,15 @@ def test_cap_boundary_is_exact():
         enumerate_truncations(3, p, cap=size - 1)
     with pytest.raises(CardinalityCapError):
         count_truncations(3, p, cap=size - 1)
+
+
+def test_huge_degree_hits_the_cap_before_building_weights():
+    # the 2**(m+1) + 1 tuples (0, ..., 0, d) alone exceed the cap; building the
+    # m + 1 weights of up to m bits each first took seconds at this degree
+    started = time.perf_counter()
+    with pytest.raises(CardinalityCapError):
+        count_truncations(10**5, RadiusParams("1/2", "1/10", "1"))
+    assert time.perf_counter() - started < 1
 
 
 def test_negative_cap_is_rejected():
