@@ -8,6 +8,7 @@ Reports are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,7 +45,14 @@ def integer(text: str) -> int:
     return formats.parse_int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and shared after it.
+
+    Callers must not mutate it.  Reuse is safe because parse_args keeps no
+    state between calls: no flag appends or has a mutable default, and the
+    help width is read only when help is formatted.
+    """
     # allow_abbrev=False: a prefix such as --r must not silently stand for --r-prime
     parser = argparse.ArgumentParser(
         prog="laurentreal",
@@ -189,14 +197,16 @@ def cmd_divide(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r = formats.parse_rational(args.r)
+    c = formats.parse_rational(args.c)
+    if not 0 < r < 1:
+        raise ValueError(f"--r must lie in (0, 1), got {r}")
     # enumeration never reads r_prime; r / 2 only fills RadiusParams' slot below r
-    params = RadiusParams(r, r / 2, formats.parse_rational(args.c))
+    params = RadiusParams(r, r / 2, c)
     if args.count_only:
         print(count_truncations(args.m, params, args.cap))
         return EXIT_OK
     truncations = enumerate_truncations(args.m, params, args.cap)
-    for tup in truncations:
-        print(",".join(str(a) for a in tup))
+    sys.stdout.writelines(",".join(map(str, tup)) + "\n" for tup in truncations)
     return EXIT_OK
 
 
@@ -227,8 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CardinalityCapError as exc:

@@ -68,7 +68,8 @@ def parse_series_text(text: str) -> LaurentSeries:
         if exponent in terms:
             raise ValueError(f"line {lineno}: duplicate exponent {exponent}")
         terms[exponent] = coefficient
-    return LaurentSeries(terms)
+    # int fields and no repeated exponent: only the zero terms are left to drop
+    return LaurentSeries._trusted({n: a for n, a in terms.items() if a})
 
 
 def series_to_json_dict(f: LaurentSeries) -> dict:
@@ -76,9 +77,10 @@ def series_to_json_dict(f: LaurentSeries) -> dict:
 
 
 def _json_int(value) -> int:
-    # floats and bools are refused, as in the core, rather than truncated
+    # floats and bools are refused, as in the core, rather than truncated;
+    # an int subclass comes back as a plain int
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return int(value)
     return parse_int(value)
 
 
@@ -102,7 +104,7 @@ def series_from_json_dict(data: dict) -> LaurentSeries:
         if exponent in terms:
             raise ValueError(f"duplicate exponent {exponent} in series JSON")
         terms[exponent] = coefficient
-    return LaurentSeries(terms)
+    return LaurentSeries._trusted({n: a for n, a in terms.items() if a})
 
 
 def certificate_to_json_dict(cert: ExpansionCertificate) -> dict:

@@ -21,7 +21,6 @@ from .evaluation import evaluate
 from .expansion import expand, series_of
 from .kernel import KernelGenerator, NotDivisibleError, divide, generator_at
 from .series import LaurentSeries, RadiusParams
-from .truncations import _integer_weights
 
 
 class PropertyResult:
@@ -72,31 +71,6 @@ def random_nonzero_series(rng: random.Random, **kwargs) -> LaurentSeries:
         s = random_series(rng, **kwargs)
         if s:
             return s
-
-
-def random_budgeted_series(
-    rng: random.Random,
-    r: Fraction,
-    budget: Fraction,
-    min_exp: int,
-    max_exp: int,
-) -> LaurentSeries:
-    """A series with support in [min_exp, max_exp] and norm at most budget.
-
-    Digit ranges shrink with the budget spent so far, so the bound holds
-    by construction; it is tracked in integer weights of the budget
-    shifted by T**-min_exp.
-    """
-    weights, remaining = _integer_weights(max_exp - min_exp, r, budget / r**min_exp)
-    coeffs: dict[int, int] = {}
-    for n, weight in enumerate(weights, start=min_exp):
-        largest = remaining // weight
-        if largest:
-            d = rng.randint(-largest, largest)
-            if d:
-                coeffs[n] = d
-                remaining -= abs(d) * weight
-    return LaurentSeries._trusted(coeffs)
 
 
 def random_rational(rng: random.Random, magnitude: int = 10**6) -> Fraction:

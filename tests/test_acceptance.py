@@ -27,12 +27,13 @@ from laurentreal import (
     series_of,
 )
 from laurentreal.verify import (
-    random_budgeted_series,
     random_nonzero_series,
     random_rational,
     random_series,
     run_exactness_suite,
 )
+
+from conftest import random_budgeted_series
 
 SEED = 42
 PARAMS = RadiusParams(Fraction(1, 2), Fraction(1, 10))

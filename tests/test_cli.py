@@ -2,7 +2,10 @@
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +196,14 @@ def test_deep_enumeration_hits_the_cap(capsys):
         assert code == 4
         assert out == ""
         assert err.startswith("error:") and "cap" in err
+
+
+@pytest.mark.parametrize("r", ["2", "1", "0", "-1/2"])
+def test_enumerate_radius_error_names_only_r(r, capsys):
+    for extra in ([], ["--count-only"]):
+        code, out, err = run(capsys, "enumerate", "--m", "2", f"--r={r}", "--c", "1", *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: --r must lie in (0, 1), got {r}\n"
 
 
 def test_base_r_prime_consistency_enforced(capsys):
@@ -396,3 +407,64 @@ def test_option_strings_of_each_command():
         "enumerate": ["--m", "--r", "--c", "--cap", "--count-only"],
         "verify": ["--r", "--r-prime", "--base", "--trials", "--seed", "--max-digits", "--json"],
     }
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process main call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    for _ in range(5):
+        assert call(capsys, ["enumerate", "--m", "1", "--c", "1", "--count-only"]) == (0, "7\n", "")
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_import_does_not_build_the_parser():
+    # built on the first main call, so an import (the benchmark's setup_s) does not pay for it
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import laurentreal.cli as cli; "
+             "print(cli.build_parser.cache_info().currsize)")
+    src = str(Path(formats.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "0\n"
+
+
+# Calls that a parser keeping state would answer differently the second
+# time: an output flag then none, an argparse exit 2 then a valid call.
+REUSE_SEQUENCE = [
+    ["verify", "--trials", "3", "--json"],
+    ["verify", "--trials", "3"],
+    ["eval", "FILE", "--decimal", "5"],
+    ["eval", "FILE"],
+    ["eval", "FILE", "--decimal", "x"],
+    ["eval", "FILE", "--format", "json", "--json"],
+    ["enumerate", "--m", "1", "--c", "1", "--count"],
+    ["enumerate", "--m", "1", "--c", "1"],
+    ["divide", "--help"],
+    ["kernel-check", "FILE", "--base", "2"],
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    path = tmp_path / "series.txt"
+    path.write_text("0 1\n1 -2\n")
+    (tmp_path / "series.json").write_text('{"terms": [[0, "1"], [1, "-2"]]}')
+    argvs = [[str(path) if arg == "FILE" else arg for arg in argv] for argv in REUSE_SEQUENCE]
+    argvs[5][1] = str(tmp_path / "series.json")
+    build_parser.cache_clear()
+    shared = [call(capsys, argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(call(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]

@@ -14,9 +14,8 @@ from laurentreal import (
     in_budget,
 )
 from laurentreal.evaluation import ContinuityBound
-from laurentreal.verify import random_budgeted_series
 
-from conftest import series, shift_amounts
+from conftest import random_budgeted_series, series, shift_amounts
 
 PARAMS = RadiusParams(Fraction(1, 2), Fraction(1, 10))
 

@@ -19,11 +19,12 @@ from laurentreal import (
     LaurentSeries,
     NotDivisibleError,
     divide,
+    formats,
     inverse_truncation,
 )
-from laurentreal.verify import random_budgeted_series, random_series
+from laurentreal.verify import random_series
 
-from conftest import series, shift_amounts
+from conftest import coefficients, exponents, random_budgeted_series, series, shift_amounts
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "laurentreal"
 ALLOWED = {("series.py", "LaurentSeries", "__init__"), ("series.py", "LaurentSeries", "_trusted")}
@@ -112,3 +113,20 @@ def test_random_generators_return_canonical_series(seed, max_coeff):
     assert_canonical(random_series(rng, max_coeff=max_coeff, max_terms=12))
     assert_canonical(random_series(rng))
     assert_canonical(random_budgeted_series(rng, Fraction(2, 3), Fraction(5), -3, 8))
+
+
+class Int(int):
+    """An int subclass, which the JSON reader takes as an integer."""
+
+
+@given(terms=st.dictionaries(exponents, st.integers(-2, 2) | coefficients, max_size=8))
+def test_parsers_return_canonical_series(terms):
+    text = "".join(f"{n} {a}\n" for n, a in terms.items())
+    parsed = (
+        formats.parse_series_text(text),
+        formats.series_from_json_dict({"terms": [[n, str(a)] for n, a in terms.items()]}),
+        formats.series_from_json_dict({"terms": [[Int(n), Int(a)] for n, a in terms.items()]}),
+    )
+    for got in parsed:
+        assert_canonical(got)
+        assert got == LaurentSeries(terms)

@@ -8,11 +8,12 @@ import pytest
 from laurentreal import LaurentSeries, RadiusParams, in_budget
 from laurentreal.verify import (
     PropertyResult,
-    random_budgeted_series,
     random_nonzero_series,
     random_series,
     run_exactness_suite,
 )
+
+from conftest import random_budgeted_series
 
 PARAMS = RadiusParams(Fraction(1, 2), Fraction(1, 10))
 
